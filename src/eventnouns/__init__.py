@@ -10,7 +10,6 @@ from .corpus import (
     CorpusParseError,
     Sentence,
     TaggedToken,
-    count_noun_occurrences,
     parse_tagged_corpus,
     read_tagged_file,
     serialize_corpus,

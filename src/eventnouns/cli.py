@@ -26,6 +26,24 @@ class UsageError(Exception):
     pass
 
 
+# numeric flags by argparse dest: (accepts the value, allowed range)
+_FLAG_RANGES = {
+    "k": (lambda v: v >= 2, ">= 2"),
+    "min_leaf": (lambda v: v >= 1, ">= 1"),
+    "cf": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def _check_flag_ranges(args) -> None:
+    """Reject an out-of-range numeric flag as bad usage, before any work."""
+    for dest, value in vars(args).items():
+        in_range, allowed = _FLAG_RANGES.get(dest, (None, None))
+        if in_range and not in_range(value):
+            flag = "--" + dest.replace("_", "-")
+            raise UsageError(f"{flag} must be {allowed}, got {value:g}")
+
+
 def _check_files(paths) -> None:
     for path in paths:
         if not os.path.exists(path):
@@ -33,18 +51,18 @@ def _check_files(paths) -> None:
 
 
 def _resolve_cue_set(args):
-    if getattr(args, "cues", None):
+    if args.cues:
         _check_files([args.cues])
         return read_cue_file(args.cues, args.lang)
     return builtin_cue_set(args.lang)
 
 
 def _resolve_gold(args):
-    if getattr(args, "builtin_gold", False):
-        if args.lang.upper() != "EN":
+    if args.builtin_gold:
+        if args.lang != "EN":
             raise UsageError("--builtin-gold is only available for --lang EN")
         return data_mod.english_gold()
-    if getattr(args, "gold", None):
+    if args.gold:
         _check_files([args.gold])
         return data_mod.load_gold(args.gold, language=args.lang)
     return None
@@ -63,7 +81,8 @@ def _read_lemma_list(path: str) -> list[str]:
     return lemmas
 
 
-def _extract_dataset(args, cue_set, target_lemmas):
+def _extract_dataset(args, target_lemmas):
+    cue_set = _resolve_cue_set(args)
     _check_files(args.corpus)
     corpus = itertools.chain.from_iterable(
         read_tagged_file(path, strict=not args.lenient) for path in args.corpus)
@@ -83,7 +102,6 @@ def _tree_params(args) -> dtree.TreeParams:
 
 
 def _cmd_extract(args) -> int:
-    cue_set = _resolve_cue_set(args)
     gold = _resolve_gold(args)
     if gold is not None:
         targets = list(gold.entries)
@@ -91,7 +109,7 @@ def _cmd_extract(args) -> int:
         targets = _read_lemma_list(args.lemmas)
     else:
         raise UsageError("need --builtin-gold, --gold FILE, or --lemmas FILE")
-    dataset = _extract_dataset(args, cue_set, targets)
+    dataset = _extract_dataset(args, targets)
     if gold is not None:
         dataset = features.attach_labels(dataset, gold.entries)
     features.write_dataset_csv(dataset, args.out)
@@ -112,7 +130,7 @@ def _cmd_train(args) -> int:
                 for v in dataset.vectors]
     tree = dtree.train(examples, params)
     dtree.save_model(tree, args.out, cue_ids=dataset.cue_ids, params=params,
-                     language=args.lang or "")
+                     language=args.lang)
     text = dtree.format_tree(tree, dataset.cue_ids)
     if args.tree_text:
         with open(args.tree_text, "w", encoding="utf-8") as fh:
@@ -127,10 +145,10 @@ def _cmd_classify(args) -> int:
     _check_files([args.model, args.dataset])
     tree, cue_ids, params, _ = dtree.load_model(args.model)
     dataset = features.read_dataset_csv(args.dataset)
-    if len(dataset.cue_ids) != len(cue_ids):
+    if dataset.cue_ids != cue_ids:
         raise ValueError(
-            f"dimensionality mismatch: model has {len(cue_ids)} cues, "
-            f"dataset has {len(dataset.cue_ids)}")
+            f"cue mismatch: model has {len(cue_ids)} cues ({', '.join(cue_ids)}), "
+            f"dataset has {len(dataset.cue_ids)} ({', '.join(dataset.cue_ids)})")
     predictions = [dtree.classify(tree, v, laplace=params.laplace_confidence)
                    for v in dataset.vectors]
     evaluation.write_lexicon_csv(predictions, args.out)
@@ -148,11 +166,10 @@ def _cmd_evaluate(args) -> int:
     else:
         if not args.corpus:
             raise UsageError("need --dataset FILE or --corpus FILE ...")
-        cue_set = _resolve_cue_set(args)
         gold = _resolve_gold(args)
         if gold is None:
             raise UsageError("need --builtin-gold or --gold FILE")
-        dataset = _extract_dataset(args, cue_set, list(gold.entries))
+        dataset = _extract_dataset(args, list(gold.entries))
         dataset = features.attach_labels(dataset, gold.entries)
     params = _tree_params(args)
     report = evaluation.cross_validate(dataset, params, k=args.k, seed=args.seed)
@@ -213,7 +230,7 @@ def _cmd_synth(args) -> int:
 
 
 def _add_corpus_options(parser, *, corpus_required):
-    parser.add_argument("--lang", default="EN", choices=["EN", "ES", "en", "es"],
+    parser.add_argument("--lang", default="EN", type=str.upper, choices=["EN", "ES"],
                         help="language of the built-in cue set (default EN)")
     parser.add_argument("--corpus", action="append", default=[],
                         required=corpus_required, metavar="FILE",
@@ -257,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a decision tree on a labeled dataset")
     p.add_argument("--dataset", required=True, metavar="FILE")
-    p.add_argument("--lang", default="", help="language tag stored in the model")
+    p.add_argument("--lang", default="", type=str.upper,
+                   help="language tag stored in the model")
     _add_tree_options(p)
     p.add_argument("--out", default="model.json", metavar="FILE")
     p.add_argument("--tree-text", metavar="FILE",
@@ -290,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("synth", help="generate a synthetic tagged corpus")
-    p.add_argument("--lang", default="EN", choices=["EN", "ES", "en", "es"])
+    p.add_argument("--lang", default="EN", type=str.upper, choices=["EN", "ES"])
     p.add_argument("--n-event", type=int, default=100)
     p.add_argument("--n-non-event", type=int, default=100)
     p.add_argument("--p-event", type=float, default=0.4)
@@ -312,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "lang") and args.lang:
-        args.lang = args.lang.upper()
     try:
+        _check_flag_ranges(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,17 +103,10 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
                       line_number, strict)
             continue
         surface, lemma, tag = fields
-        if not surface or not lemma or not tag:
-            _bad_line("empty field", line_number, strict)
-            continue
-        coarse = coarse_tag(tag)
-        if coarse not in COARSE_TAGS:
-            _bad_line(f"unknown coarse tag {coarse!r}", line_number, strict)
-            continue
-        if ":" in tag and not tag.partition(":")[2]:
-            _bad_line(f"empty tag refinement in {tag!r}", line_number, strict)
-            continue
-        pending.append(TaggedToken(surface, lemma.lower(), tag))
+        try:
+            pending.append(TaggedToken(surface, lemma.lower(), tag))
+        except ValueError as exc:
+            _bad_line(str(exc), line_number, strict)
     if pending:
         yield Sentence(tuple(pending))
 
@@ -141,20 +134,3 @@ def serialize_corpus(sentences: Iterable[Sentence]) -> str:
         blocks.append("\n".join(f"{t.surface}\t{t.lemma}\t{t.tag}" for t in sentence))
     return "\n\n".join(blocks) + "\n"
 
-
-def count_noun_occurrences(corpus: Iterable[Sentence],
-                           lemmas: Iterable[str]) -> dict[str, int]:
-    """Count NOUN-tagged tokens per lemma over the whole corpus.
-
-    Only tokens whose coarse tag is NOUN count; PROPN and everything else is
-    ignored. Queried lemmas never seen map to 0.
-    """
-    wanted = set(lemmas)
-    if not wanted:
-        raise ValueError("lemmas must be non-empty")
-    counts = dict.fromkeys(wanted, 0)
-    for sentence in corpus:
-        for token in sentence:
-            if token.coarse == "NOUN" and token.lemma in counts:
-                counts[token.lemma] += 1
-    return counts

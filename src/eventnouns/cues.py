@@ -60,11 +60,8 @@ class TokenConstraint:
     surface_in: frozenset[str] | None = None
     tag_in: frozenset[str] | None = None
     repeat: Repeat = Repeat.ONE
-    max_repeat: int = MAX_STAR
 
     def __post_init__(self):
-        if not 1 <= self.max_repeat <= MAX_STAR:
-            raise ValueError(f"max_repeat must be in 1..{MAX_STAR}")
         if self.surface_in is not None:
             object.__setattr__(self, "surface_in",
                                frozenset(s.lower() for s in self.surface_in))
@@ -79,10 +76,6 @@ class TokenConstraint:
             if self.surface_in is not None or self.tag_in is not None:
                 raise ValueError("multi-token lemma literals cannot combine "
                                  "with surface or tag constraints")
-
-    @property
-    def is_wildcard(self) -> bool:
-        return self.lemma_in is None and self.surface_in is None and self.tag_in is None
 
     def matches_token(self, token: TaggedToken) -> bool:
         if self.lemma_in is not None and token.lemma not in self.lemma_in:
@@ -201,14 +194,10 @@ def _consumptions(constraint: TokenConstraint, tokens, i: int) -> list[int]:
     """
     if constraint.repeat is Repeat.ONE:
         return _one_token_lengths(constraint, tokens, i)
-    if constraint.repeat is Repeat.OPTIONAL:
-        options = [0]
-        if i < len(tokens) and constraint.matches_token(tokens[i]):
-            options.append(1)
-        return options
+    limit = 1 if constraint.repeat is Repeat.OPTIONAL else MAX_STAR
     options = [0]
     k = 0
-    while (k < constraint.max_repeat and i + k < len(tokens)
+    while (k < limit and i + k < len(tokens)
            and constraint.matches_token(tokens[i + k])):
         k += 1
         options.append(k)

@@ -192,7 +192,7 @@ def train(examples: Sequence[LabeledExample],
     label_order = sorted({ex.label for ex in examples})
     node = _grow(examples, params, label_order, dim)
     if params.pruning:
-        node = _pruned(node, params.confidence_factor)
+        node, _ = _pruned(node, params.confidence_factor)
     return node
 
 
@@ -224,27 +224,27 @@ def _grow(examples, params, label_order, dim) -> TreeNode:
                     _grow(right, params, label_order, dim))
 
 
-def _estimated_errors(node: TreeNode, cf: float) -> float:
-    if node.is_leaf:
-        n = node.total
-        if n == 0:
-            return 0.0
-        errors = n - max(node.class_counts.values())
-        return n * pessimistic_upper_bound(errors, n, cf)
-    return _estimated_errors(node.left, cf) + _estimated_errors(node.right, cf)
+def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:
+    """Pessimistic error estimate of a leaf holding ``class_counts``."""
+    n = sum(class_counts.values())
+    if n == 0:
+        return 0.0
+    errors = n - max(class_counts.values())
+    return n * pessimistic_upper_bound(errors, n, cf)
 
 
-def _pruned(node: TreeNode, cf: float) -> TreeNode:
+def _pruned(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
+    """Prune bottom-up; returns the subtree and its estimated errors."""
+    leaf_estimate = _leaf_errors(node.class_counts, cf)
     if node.is_leaf:
-        return node
-    node = TreeNode(node.class_counts, node.attribute, node.threshold,
-                    _pruned(node.left, cf), _pruned(node.right, cf))
-    n = node.total
-    errors = n - max(node.class_counts.values())
-    leaf_estimate = n * pessimistic_upper_bound(errors, n, cf)
-    if leaf_estimate <= _estimated_errors(node, cf):
-        return TreeNode(dict(node.class_counts))
-    return node
+        return node, leaf_estimate
+    left, left_errors = _pruned(node.left, cf)
+    right, right_errors = _pruned(node.right, cf)
+    subtree_estimate = left_errors + right_errors
+    if leaf_estimate <= subtree_estimate:
+        return TreeNode(dict(node.class_counts)), leaf_estimate
+    return (TreeNode(node.class_counts, node.attribute, node.threshold, left, right),
+            subtree_estimate)
 
 
 def classify(tree: TreeNode, vector: FeatureVector, *,

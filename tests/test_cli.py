@@ -1,4 +1,7 @@
+import csv
 import os
+
+import pytest
 
 from eventnouns.cli import main
 
@@ -149,6 +152,63 @@ def test_classify_dimension_mismatch(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "16" in err and "11" in err
+
+
+def test_classify_rejects_permuted_cue_columns(tmp_path, capsys):
+    synth_dir, dataset = full_pipeline(tmp_path, capsys)
+    model = str(tmp_path / "model.json")
+    assert run(["train", "--dataset", dataset, "--out", model]) == 0
+
+    with open(dataset, newline="") as fh:
+        rows = list(csv.reader(fh))
+    cue_columns = list(range(2, len(rows[0]) - 1))  # between total and label
+    order = [0, 1, *reversed(cue_columns), len(rows[0]) - 1]
+    permuted = str(tmp_path / "permuted.csv")
+    with open(permuted, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[i] for i in order] for row in rows)
+
+    lexicon = tmp_path / "lex.csv"
+    code = run(["classify", "--model", model, "--dataset", permuted,
+                "--out", str(lexicon)])
+    assert code == 1
+    assert "cue mismatch" in capsys.readouterr().err
+    assert not lexicon.exists()
+
+
+LABELED_DATASET = ("lemma,total,X-1,label\n"
+                   "war,4,3,EVENT\nstorm,3,2,EVENT\n"
+                   "map,2,0,NON_EVENT\ntree,5,1,NON_EVENT\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evaluate", "--seed", "1", "--k", "2", "--threshold", "1.5"], "--threshold"),
+    (["evaluate", "--seed", "1", "--k", "1"], "--k"),
+    (["evaluate", "--seed", "1", "--k", "2", "--min-leaf", "0"], "--min-leaf"),
+    (["evaluate", "--seed", "1", "--k", "2", "--cf", "1.5"], "--cf"),
+    (["train", "--min-leaf", "0"], "--min-leaf"),
+    (["train", "--cf", "0"], "--cf"),
+], ids=["evaluate-threshold", "evaluate-k", "evaluate-min-leaf", "evaluate-cf",
+        "train-min-leaf", "train-cf"])
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run([*argv, "--dataset", str(dataset), "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
+def test_lang_accepts_either_case(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    outs = []
+    for lang in ("EN", "en"):
+        out = tmp_path / f"dataset-{lang}.csv"
+        assert run(["extract", "--lang", lang, "--corpus", corpus,
+                    "--builtin-gold", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert run(["extract", "--lang", "fr", "--corpus", corpus,
+                "--builtin-gold"]) == 2
 
 
 def test_evaluate_from_corpus_and_gold(tmp_path, capsys):

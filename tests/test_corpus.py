@@ -7,7 +7,8 @@ from eventnouns import (
     CorpusParseError,
     Sentence,
     TaggedToken,
-    count_noun_occurrences,
+    builtin_cue_set,
+    extract_features,
     parse_tagged_corpus,
     serialize_corpus,
 )
@@ -46,6 +47,22 @@ def test_unknown_coarse_tag_rejected():
     with pytest.raises(CorpusParseError) as exc:
         parse("war\twar\tNN\n")
     assert "NN" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad_line", [
+    "\twar\tNOUN",    # empty surface
+    "war\t\tNOUN",    # empty lemma
+    "war\twar\t",     # empty tag
+    "war\twar\tVERB:",  # empty refinement
+], ids=["empty-surface", "empty-lemma", "empty-tag", "empty-refinement"])
+def test_bad_field_strict_raises_lenient_skips(bad_line, caplog):
+    text = f"the\tthe\tDET\n{bad_line}\nmap\tmap\tNOUN\n"
+    with pytest.raises(CorpusParseError) as exc:
+        parse(text)
+    assert exc.value.line_number == 2
+    (sentence,) = parse(text, strict=False)
+    assert [t.lemma for t in sentence] == ["the", "map"]
+    assert "line 2" in caplog.text
 
 
 def test_lenient_mode_skips_bad_lines():
@@ -109,37 +126,43 @@ def test_sentence_count_matches_blocks():
     assert len(parse(text)) == 3
 
 
+def noun_totals(corpus, lemmas) -> dict[str, int]:
+    """NOUN occurrence totals per lemma, as ``extract_features`` counts them."""
+    dataset = extract_features(corpus, builtin_cue_set("EN"), lemmas)
+    return {v.lemma: v.total_occurrences for v in dataset.vectors}
+
+
 def test_count_noun_occurrences_direct():
     corpus = [sent(("durante", "ADP"), ("la", "DET"), ("guerra", "NOUN")),
               sent(("la", "DET"), ("guerra", "NOUN"))]
-    assert count_noun_occurrences(corpus, {"guerra"}) == {"guerra": 2}
+    assert noun_totals(corpus, {"guerra"}) == {"guerra": 2}
 
 
 def test_count_noun_occurrences_zero_for_unseen():
     corpus = [sent(("la", "DET"), ("guerra", "NOUN"))]
-    assert count_noun_occurrences(corpus, {"x"}) == {"x": 0}
+    assert noun_totals(corpus, {"x"}) == {"x": 0}
 
 
 def test_count_noun_occurrences_ignores_non_noun_tags():
     # "war" once as NOUN and once (hypothetically) as VERB: only the noun counts
     corpus = [sent(("the", "DET"), ("war", "NOUN")),
               sent(("they", "PRON"), ("war", "VERB"))]
-    assert count_noun_occurrences(corpus, {"war"}) == {"war": 1}
+    assert noun_totals(corpus, {"war"}) == {"war": 1}
 
 
 def test_count_noun_occurrences_additive_over_concatenation():
     rng = random.Random(7)
     a, b = _random_corpus(rng), _random_corpus(rng)
     lemmas = {"guerra", "mapa", "tren"}
-    combined = count_noun_occurrences(a + b, lemmas)
-    left = count_noun_occurrences(a, lemmas)
-    right = count_noun_occurrences(b, lemmas)
+    combined = noun_totals(a + b, lemmas)
+    left = noun_totals(a, lemmas)
+    right = noun_totals(b, lemmas)
     assert combined == {l: left[l] + right[l] for l in lemmas}
 
 
 def test_count_noun_occurrences_requires_lemmas():
     with pytest.raises(ValueError):
-        count_noun_occurrences([], set())
+        noun_totals([], set())
 
 
 def test_parse_is_lazy():

@@ -250,6 +250,55 @@ def test_pruning_never_increases_node_count():
         assert count_nodes(pruned) <= count_nodes(unpruned)
 
 
+def _reference_estimated_errors(node, cf):
+    if node.is_leaf:
+        n = node.total
+        if n == 0:
+            return 0.0
+        errors = n - max(node.class_counts.values())
+        return n * pessimistic_upper_bound(errors, n, cf)
+    return (_reference_estimated_errors(node.left, cf)
+            + _reference_estimated_errors(node.right, cf))
+
+
+def _reference_pruned(node, cf):
+    """Two-pass pruning: prune the children, then re-walk the subtree to
+    estimate its errors."""
+    if node.is_leaf:
+        return node
+    node = TreeNode(node.class_counts, node.attribute, node.threshold,
+                    _reference_pruned(node.left, cf), _reference_pruned(node.right, cf))
+    n = node.total
+    errors = n - max(node.class_counts.values())
+    leaf_estimate = n * pessimistic_upper_bound(errors, n, cf)
+    if leaf_estimate <= _reference_estimated_errors(node, cf):
+        return TreeNode(dict(node.class_counts))
+    return node
+
+
+def test_pruning_matches_two_pass_reference():
+    pruned_somewhere = False
+    for seed in range(12):
+        rng = random.Random(500 + seed)
+        # small integer counts with a noisy signal on attribute 0: many tied
+        # values, deep unpruned trees, and subtrees worth pruning
+        examples = []
+        for i in range(rng.randint(20, 120)):
+            label = rng.choice([EVENT, NON_EVENT])
+            signal = rng.randint(1, 4) if label == EVENT else 0
+            counts = [signal if rng.random() > 0.2 else rng.randint(0, 4)]
+            counts += [rng.randint(0, 3) for _ in range(3)]
+            examples.append(ex(counts, label, f"w{i}"))
+        for cf in (0.05, 0.25, 0.5, 0.9):
+            for min_leaf in (1, 2):
+                grown = train(examples, TreeParams(min_leaf=min_leaf, pruning=False))
+                pruned = train(examples, TreeParams(min_leaf=min_leaf,
+                                                    confidence_factor=cf))
+                assert tree_to_dict(pruned) == tree_to_dict(_reference_pruned(grown, cf))
+                pruned_somewhere |= count_nodes(pruned) < count_nodes(grown)
+    assert pruned_somewhere
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         TreeParams(min_leaf=0)
