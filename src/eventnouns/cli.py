@@ -26,20 +26,36 @@ class UsageError(Exception):
     pass
 
 
-# numeric flags by argparse dest: (accepts the value, allowed range)
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_UNIT_INTERVAL = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
+# numeric flags by argparse dest: (accepts the value, allowed range); rules
+# that tie two flags together stay with the code that uses them
 _FLAG_RANGES = {
     "k": (lambda v: v >= 2, ">= 2"),
-    "min_leaf": (lambda v: v >= 1, ">= 1"),
+    "min_leaf": _AT_LEAST_ONE,
     "cf": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "threshold": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "threshold": _UNIT_INTERVAL,
+    "n_event": _AT_LEAST_ONE,
+    "n_non_event": _AT_LEAST_ONE,
+    "occ_min": _AT_LEAST_ONE,
+    "occ_max": _AT_LEAST_ONE,
+    "p_event": _UNIT_INTERVAL,
+    "p_non_event": _UNIT_INTERVAL,
+    "noise": _UNIT_INTERVAL,
+    "silence": _UNIT_INTERVAL,
+    "silence_event": _UNIT_INTERVAL,
+    "silence_non_event": _UNIT_INTERVAL,
 }
 
 
 def _check_flag_ranges(args) -> None:
-    """Reject an out-of-range numeric flag as bad usage, before any work."""
+    """Reject an out-of-range numeric flag as bad usage, before any work.
+
+    A flag left at a default of None is not checked."""
     for dest, value in vars(args).items():
         in_range, allowed = _FLAG_RANGES.get(dest, (None, None))
-        if in_range and not in_range(value):
+        if in_range and value is not None and not in_range(value):
             flag = "--" + dest.replace("_", "-")
             raise UsageError(f"{flag} must be {allowed}, got {value:g}")
 

@@ -26,6 +26,10 @@ COARSE_TAGS = frozenset({
     "ADP", "PRON", "NUM", "CONJ", "PART", "PUNCT", "OTHER",
 })
 
+# distinct token lines kept for reuse per parse; corpora have a long tail
+# of types seen once, so the first few thousand cover most occurrences
+INTERN_LIMIT = 4096
+
 
 def coarse_tag(tag: str) -> str:
     """Return the coarse part of a tag (``VERB:PART`` -> ``VERB``)."""
@@ -88,8 +92,15 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
     line is still emitted.
     """
     pending: list[TaggedToken] = []
+    # a repeated token line reuses its token and skips validation; bad
+    # lines never enter, so each of their occurrences is reported
+    interned: dict[str, TaggedToken] = {}
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
+        token = interned.get(line)
+        if token is not None:
+            pending.append(token)
+            continue
         if line.startswith("#"):
             continue
         if not line.strip():
@@ -104,9 +115,13 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
             continue
         surface, lemma, tag = fields
         try:
-            pending.append(TaggedToken(surface, lemma.lower(), tag))
+            token = TaggedToken(surface, lemma.lower(), tag)
         except ValueError as exc:
             _bad_line(str(exc), line_number, strict)
+            continue
+        pending.append(token)
+        if len(interned) < INTERN_LIMIT:
+            interned[line] = token
     if pending:
         yield Sentence(tuple(pending))
 

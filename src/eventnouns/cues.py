@@ -170,69 +170,169 @@ class CueHit:
 
 # --- matching -------------------------------------------------------------
 
-def _one_token_lengths(constraint: TokenConstraint, tokens, i: int) -> list[int]:
-    """Consumption lengths for a repeat-ONE constraint at position i, ascending."""
-    lengths = []
-    if i < len(tokens) and constraint.matches_token(tokens[i]):
-        lengths.append(1)
-    if constraint.lemma_in is not None:
-        for entry in constraint.lemma_in:
-            if " " not in entry:
+class _TagMasks(dict):
+    """Tag -> atom mask, filled in as tags are seen."""
+
+    def __init__(self, constraints):
+        super().__init__()
+        self.constraints = constraints
+
+    def __missing__(self, tag: str) -> int:
+        mask = 0
+        for constraint, bit in self.constraints:
+            if constraint.tag_in is None or any(
+                    _tag_matches(pattern, tag) for pattern in constraint.tag_in):
+                mask |= bit
+        self[tag] = mask
+        return mask
+
+
+def _field_table(constraints, field) -> tuple[int, dict[str, int]]:
+    """Masks of the values one field names, and the mask of any other value."""
+    default = 0
+    masks: dict[str, int] = {}
+    for constraint, bit in constraints:
+        values = field(constraint)
+        if values is None:
+            default |= bit
+        else:
+            for value in values:
+                masks[value] = masks.get(value, 0) | bit
+    return default, {value: mask | default for value, mask in masks.items()}
+
+
+_REPEAT_LIMIT = {Repeat.ONE: 0, Repeat.OPTIONAL: 1, Repeat.STAR: MAX_STAR}
+
+
+class _CompiledCueSet:
+    """The enabled rules of a cue set, compiled for matching.
+
+    Each distinct constraint of the enabled rules gets one bit, and a
+    token's atom mask holds the bits of the constraints it satisfies. A
+    constraint holds only when each of its fields holds, so the mask is the
+    AND of one table lookup per field. The lemma and surface tables hold
+    only the values the rules name; any other value gets the bits of the
+    constraints without that field.
+    """
+
+    def __init__(self, cue_set: CueSet):
+        bits: dict[TokenConstraint, int] = {}
+        # (rule id, elements, anchor, required); an element is (bit, repeat
+        # limit, multi-word literals, is target)
+        self.rules = []
+        for rule in cue_set.rules:
+            if not rule.enabled:
                 continue
-            words = entry.split(" ")
-            if i + len(words) <= len(tokens) and all(
-                    tokens[i + k].lemma == w for k, w in enumerate(words)):
-                lengths.append(len(words))
-    return sorted(set(lengths))
+            elements = []
+            # a repeat-ONE single-token atom consumes one token it holds on,
+            # so a sentence lacking any of their bits cannot match the rule
+            required = 0
+            for index, constraint in enumerate(rule.elements):
+                bit = bits.setdefault(constraint, 1 << len(bits))
+                limit = _REPEAT_LIMIT[constraint.repeat]
+                literals = tuple(sorted(
+                    (tuple(entry.split(" "))
+                     for entry in constraint.lemma_in or () if " " in entry),
+                    key=len))
+                elements.append((bit, limit, literals, index == rule.target_index))
+                if limit == 0 and not literals:
+                    required |= bit
+            # a match can start only where a leading repeat-ONE atom holds on
+            # the token or one of its multi-word literals begins; 0 tries all
+            bit, limit, literals, _ = elements[0]
+            anchor = 0
+            if limit == 0:
+                anchor = bit
+                if literals:
+                    first_words = TokenConstraint(
+                        lemma_in=frozenset(words[0] for words in literals))
+                    anchor |= bits.setdefault(first_words, 1 << len(bits))
+            self.rules.append((rule.id, tuple(elements), anchor, required))
+        constraints = tuple(bits.items())
+        self.lemma_default, self.lemma_masks = _field_table(
+            constraints, lambda c: c.lemma_in)
+        self.surface_default, self.surface_masks = _field_table(
+            constraints, lambda c: c.surface_in)
+        self.use_surface = any(c.surface_in is not None for c in bits)
+        self.tag_masks = _TagMasks(constraints)
+
+    def masks(self, tokens) -> list[int]:
+        """The atom mask of each token."""
+        lemma_masks, lemma_default = self.lemma_masks, self.lemma_default
+        tag_masks = self.tag_masks
+        masks = [lemma_masks.get(token.lemma, lemma_default) & tag_masks[token.tag]
+                 for token in tokens]
+        if self.use_surface:
+            surface_masks, surface_default = self.surface_masks, self.surface_default
+            masks = [mask & surface_masks.get(token.surface.lower(), surface_default)
+                     for mask, token in zip(masks, tokens)]
+        return masks
 
 
-def _consumptions(constraint: TokenConstraint, tokens, i: int) -> list[int]:
-    """Possible token counts this element may consume at position i, ascending.
+def _match_from(elements, ei: int, ti: int, masks, tokens, last_noun: bool,
+                bound: int) -> int:
+    """Match ``elements[ei:]`` from token ``ti``; ``bound`` is the target
+    token if the target slot lies before ``ei``.
 
-    Ascending order gives lazy semantics: optional and starred elements
-    consume as few tokens as the rest of the pattern allows.
+    Returns the index of the token bound to the target slot, or -1. Optional
+    and starred atoms and multi-word literals try their shortest
+    consumption first and backtrack into longer ones.
     """
-    if constraint.repeat is Repeat.ONE:
-        return _one_token_lengths(constraint, tokens, i)
-    limit = 1 if constraint.repeat is Repeat.OPTIONAL else MAX_STAR
-    options = [0]
-    k = 0
-    while (k < limit and i + k < len(tokens)
-           and constraint.matches_token(tokens[i + k])):
-        k += 1
-        options.append(k)
-    return options
-
-
-def _match_rule_at(rule: CueRule, tokens, start: int, target_policy: str) -> int | None:
-    """Try to match ``rule`` with its first element anchored at ``start``.
-
-    Returns the index of the token bound to the target slot, or None.
-    """
-    elements = rule.elements
-
-    def rec(ei: int, ti: int) -> tuple[bool, int | None]:
-        if ei == len(elements):
-            return True, None
-        constraint = elements[ei]
-        if ei == rule.target_index:
-            if ti >= len(tokens) or not constraint.matches_token(tokens[ti]):
-                return False, None
-            bound, nxt = ti, ti + 1
-            if target_policy == TARGET_LAST_NOUN:
+    n = len(masks)
+    for ei in range(ei, len(elements)):
+        bit, limit, literals, is_target = elements[ei]
+        if is_target:
+            if ti >= n or not masks[ti] & bit:
+                return -1
+            bound, ti = ti, ti + 1
+            if last_noun:
                 # bind the last noun of a consecutive noun run (compound heads)
-                while nxt < len(tokens) and constraint.matches_token(tokens[nxt]):
-                    bound, nxt = nxt, nxt + 1
-            ok, _ = rec(ei + 1, nxt)
-            return (True, bound) if ok else (False, None)
-        for consumed in _consumptions(constraint, tokens, ti):
-            ok, bound = rec(ei + 1, ti + consumed)
-            if ok:
-                return True, bound
-        return False, None
+                while ti < n and masks[ti] & bit:
+                    bound, ti = ti, ti + 1
+            continue
+        if limit:
+            end = ti
+            while end - ti < limit and end < n and masks[end] & bit:
+                end += 1
+            lengths = range(end - ti + 1)
+        elif literals:
+            if ti >= n:
+                return -1
+            lemma = tokens[ti].lemma
+            lengths = [1] if masks[ti] & bit else []
+            for words in literals:  # shortest first
+                if (words[0] == lemma and ti + len(words) <= n
+                        and len(words) not in lengths
+                        and all(tokens[ti + k].lemma == words[k]
+                                for k in range(1, len(words)))):
+                    lengths.append(len(words))
+            if not lengths:
+                return -1
+        else:
+            if ti >= n or not masks[ti] & bit:
+                return -1
+            ti += 1
+            continue
+        for length in lengths[:-1]:
+            found = _match_from(elements, ei + 1, ti + length, masks, tokens,
+                                last_noun, bound)
+            if found >= 0:
+                return found
+        ti += lengths[-1]
+    return bound
 
-    ok, bound = rec(0, start)
-    return bound if ok else None
+
+# one-entry cache: the cue set matched last and its compiled form
+_compiled: tuple[CueSet | None, _CompiledCueSet | None] = (None, None)
+
+
+def _compile(cue_set: CueSet) -> _CompiledCueSet:
+    global _compiled
+    cached, compiled = _compiled
+    if cue_set is not cached:
+        compiled = _CompiledCueSet(cue_set)
+        _compiled = (cue_set, compiled)
+    return compiled
 
 
 def match_sentence(sentence: Sentence, cue_set: CueSet, *,
@@ -249,18 +349,31 @@ def match_sentence(sentence: Sentence, cue_set: CueSet, *,
     The default target policy binds the first noun after the pattern
     prefix, compound head or not; ``TARGET_LAST_NOUN`` binds the last noun
     of the consecutive noun run instead.
+
+    The cue set is compiled on its first call and kept until a call with
+    another cue set.
     """
     if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         raise ValueError(f"unknown target policy: {target_policy!r}")
+    compiled = _compile(cue_set)
     tokens = sentence.tokens
+    masks = compiled.masks(tokens)
+    present = 0
+    for mask in masks:
+        present |= mask
+    last_noun = target_policy == TARGET_LAST_NOUN
     hits = []
-    for rule in cue_set.rules:
-        if not rule.enabled:
+    for rule_id, elements, anchor, required in compiled.rules:
+        if present & required != required:
             continue
-        for start in range(len(tokens)):
-            bound = _match_rule_at(rule, tokens, start, target_policy)
-            if bound is not None:
-                hits.append(CueHit(rule.id, tokens[bound].lemma,
+        if anchor:
+            starts = [i for i, mask in enumerate(masks) if mask & anchor]
+        else:
+            starts = range(len(tokens))
+        for start in starts:
+            bound = _match_from(elements, 0, start, masks, tokens, last_noun, -1)
+            if bound >= 0:
+                hits.append(CueHit(rule_id, tokens[bound].lemma,
                                    sentence_index, bound))
     return hits
 

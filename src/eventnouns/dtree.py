@@ -105,18 +105,36 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     """
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
-    pairs = sorted((ex.vector.counts[attribute], ex.label) for ex in examples)
-    n = len(pairs)
-    total_counts = Counter(label for _, label in pairs)
+    return _best_threshold(
+        Counter((ex.vector.counts[attribute], ex.label) for ex in examples), min_leaf)
+
+
+def _best_threshold(histogram: Mapping[tuple[float, str], int],
+                    min_leaf: int) -> tuple[float, float, float] | None:
+    """:func:`best_split` over a ``(value, label) -> count`` histogram.
+
+    The scan visits each distinct value once, not each example. Labels
+    enter ``left_counts`` and ``total_counts`` in the order a scan over the
+    sorted examples would add them, and there are only two labels anyway:
+    a sum of two entropy terms is the same float in either order. So every
+    gain and ratio is bit-identical to the per-example scan's.
+    """
+    items = sorted(histogram.items())
+    total_counts: Counter[str] = Counter()
+    for (_, label), count in items:
+        total_counts[label] += count
+    n = sum(total_counts.values())
     total_entropy = entropy(total_counts)
     left_counts: Counter[str] = Counter()
+    n_left = 0
     best: tuple[float, float, float] | None = None
-    for i in range(n - 1):
-        left_counts[pairs[i][1]] += 1
-        value, next_value = pairs[i][0], pairs[i + 1][0]
+    for i in range(len(items) - 1):
+        (value, label), count = items[i]
+        left_counts[label] += count
+        n_left += count
+        next_value = items[i + 1][0][0]
         if value == next_value:
             continue
-        n_left = i + 1
         n_right = n - n_left
         if n_left < min_leaf or n_right < min_leaf:
             continue
@@ -190,7 +208,7 @@ def train(examples: Sequence[LabeledExample],
             raise ValueError(
                 f"inconsistent dimensionality: {len(ex.vector.counts)} vs {dim}")
     label_order = sorted({ex.label for ex in examples})
-    node = _grow(examples, params, label_order, dim)
+    node = _grow(examples, params, label_order)
     if params.pruning:
         node, _ = _pruned(node, params.confidence_factor)
     return node
@@ -201,27 +219,39 @@ def _counts_of(examples, label_order) -> dict[str, int]:
     return {label: raw.get(label, 0) for label in label_order}
 
 
-def _grow(examples, params, label_order, dim) -> TreeNode:
+def _grow(examples, params, label_order) -> TreeNode:
     counts = _counts_of(examples, label_order)
     nonzero = [c for c in counts.values() if c > 0]
     if len(nonzero) == 1 or len(examples) < 2 * params.min_leaf:
         return TreeNode(counts)
-    best = None  # (ratio, attribute, threshold, gain)
-    for attribute in range(dim):
-        candidate = best_split(examples, attribute, min_leaf=params.min_leaf)
-        if candidate is None:
-            continue
-        threshold, gain, ratio = candidate
-        if best is None or ratio > best[0] + _EPS:
-            best = (ratio, attribute, threshold, gain)
+    best = _best_node_split(examples, params.min_leaf)
     if best is None:
         return TreeNode(counts)
-    _, attribute, threshold, _ = best
+    attribute, threshold = best
     left = [ex for ex in examples if ex.vector.counts[attribute] <= threshold]
     right = [ex for ex in examples if ex.vector.counts[attribute] > threshold]
     return TreeNode(counts, attribute, threshold,
-                    _grow(left, params, label_order, dim),
-                    _grow(right, params, label_order, dim))
+                    _grow(left, params, label_order),
+                    _grow(right, params, label_order))
+
+
+def _best_node_split(examples, min_leaf) -> tuple[int, float] | None:
+    """``(attribute, threshold)`` of the best split over all attributes.
+
+    Ties go to the lowest attribute. The columns live only in this frame,
+    so they are freed before ``_grow`` recurses.
+    """
+    labels = [ex.label for ex in examples]
+    best = None  # (ratio, attribute, threshold)
+    columns = zip(*(ex.vector.counts for ex in examples))
+    for attribute, column in enumerate(columns):
+        candidate = _best_threshold(Counter(zip(column, labels)), min_leaf)
+        if candidate is None:
+            continue
+        threshold, _, ratio = candidate
+        if best is None or ratio > best[0] + _EPS:
+            best = (ratio, attribute, threshold)
+    return None if best is None else best[1:]
 
 
 def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:

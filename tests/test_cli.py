@@ -198,6 +198,18 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p-event", "1.5"), ("--p-non-event", "-0.1"), ("--noise", "2"),
+    ("--silence", "1.5"), ("--silence-event", "1.5"), ("--silence-non-event", "-1"),
+    ("--occ-min", "0"), ("--occ-max", "0"), ("--n-event", "0"), ("--n-non-event", "0"),
+])
+def test_synth_bad_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "synth"
+    assert run(["synth", "--seed", "1", flag, value, "--out", str(out)]) == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
 def test_lang_accepts_either_case(tmp_path, capsys):
     corpus = write_corpus(tmp_path)
     outs = []

@@ -6,12 +6,15 @@ from conftest import sent
 from eventnouns import (
     CorpusParseError,
     Sentence,
+    SynthParams,
     TaggedToken,
     builtin_cue_set,
     extract_features,
+    generate_synthetic_corpus,
     parse_tagged_corpus,
     serialize_corpus,
 )
+from eventnouns import corpus
 from eventnouns.corpus import COARSE_TAGS
 
 
@@ -63,6 +66,37 @@ def test_bad_field_strict_raises_lenient_skips(bad_line, caplog):
     (sentence,) = parse(text, strict=False)
     assert [t.lemma for t in sentence] == ["the", "map"]
     assert "line 2" in caplog.text
+
+
+def test_repeated_lines_share_one_token():
+    text = "the\tthe\tDET\nwar\twar\tNOUN\n\nthe\tthe\tDET\nwar\twar\tNOUN\r\n"
+    first, second = parse(text)
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("limit", [0, 2])
+def test_interning_keeps_the_parse(monkeypatch, limit):
+    params = SynthParams(n_event=20, n_non_event=20, occurrences=(2, 4), seed=4)
+    text = generate_synthetic_corpus(params).corpus_text
+    interned = parse(text)
+    monkeypatch.setattr(corpus, "INTERN_LIMIT", limit)
+    assert parse(text) == interned
+    # past the limit a repeated line builds a new, equal token
+    tokens = [t for s in parse("a\ta\tDET\nb\tb\tDET\nc\tc\tDET\n" * 2) for t in s]
+    assert [a is b for a, b in zip(tokens[:3], tokens[3:])] == [
+        i < limit for i in range(3)]
+
+
+def test_repeated_bad_line_reported_every_time(caplog):
+    text = "the\tthe\tDET\nwar\twar\tXYZ\nwar\twar\tXYZ\nmap\tmap\tNOUN\nwar\twar\tXYZ\n"
+    with pytest.raises(CorpusParseError) as exc:
+        parse(text)
+    assert exc.value.line_number == 2
+    (sentence,) = parse(text, strict=False)
+    assert [t.lemma for t in sentence] == ["the", "map"]
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "skipping corpus line 2", "skipping corpus line 3", "skipping corpus line 5"]
 
 
 def test_lenient_mode_skips_bad_lines():

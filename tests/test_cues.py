@@ -1,18 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import sent
 from eventnouns import (
     CueHit,
     Sentence,
+    SynthParams,
     TaggedToken,
+    TARGET_FIRST_NOUN,
     TARGET_LAST_NOUN,
     builtin_cue_set,
+    generate_synthetic_corpus,
     load_cue_set,
     match_sentence,
+    parse_tagged_corpus,
 )
-from eventnouns.cues import NEGATIVE, Repeat, TokenConstraint
+from eventnouns.cues import MAX_STAR, NEGATIVE, Repeat, TokenConstraint
 
 
 def hits_of(sentence, cue_set, **kwargs):
@@ -247,3 +252,167 @@ def test_star_repetition_is_bounded():
                   ("old", "ADJ"), ("worn", "ADJ"), ("war", "NOUN"))
     assert [h.cue_id for h in hits_of(inside, cs)] == ["X-1"]
     assert hits_of(beyond, cs) == []
+
+
+def test_optional_atom_consumes_at_most_one_token():
+    cs = load_cue_set(["X-1\tpositive\tlemma=during tag=DET? TARGET"], "EN")
+    one = sent(("during", "ADP"), ("the", "DET"), ("war", "NOUN"))
+    two = sent(("during", "ADP"), ("the", "DET"), ("the", "DET"), ("war", "NOUN"))
+    assert [h.cue_id for h in hits_of(one, cs)] == ["X-1"]
+    assert hits_of(two, cs) == []
+
+
+# --- the compiled matcher against the backtracking reference ------------------
+
+def _reference_consumptions(constraint, tokens, i):
+    """Token counts an element may consume at position i, ascending."""
+    if constraint.repeat is Repeat.ONE:
+        lengths = []
+        if i < len(tokens) and constraint.matches_token(tokens[i]):
+            lengths.append(1)
+        for entry in constraint.lemma_in or ():
+            if " " not in entry:
+                continue
+            words = entry.split(" ")
+            if i + len(words) <= len(tokens) and all(
+                    tokens[i + k].lemma == w for k, w in enumerate(words)):
+                lengths.append(len(words))
+        return sorted(set(lengths))
+    limit = 1 if constraint.repeat is Repeat.OPTIONAL else MAX_STAR
+    options = [0]
+    k = 0
+    while (k < limit and i + k < len(tokens)
+           and constraint.matches_token(tokens[i + k])):
+        k += 1
+        options.append(k)
+    return options
+
+
+def _reference_match_rule_at(rule, tokens, start, target_policy):
+    elements = rule.elements
+
+    def rec(ei, ti):
+        if ei == len(elements):
+            return True, None
+        constraint = elements[ei]
+        if ei == rule.target_index:
+            if ti >= len(tokens) or not constraint.matches_token(tokens[ti]):
+                return False, None
+            bound, nxt = ti, ti + 1
+            if target_policy == TARGET_LAST_NOUN:
+                while nxt < len(tokens) and constraint.matches_token(tokens[nxt]):
+                    bound, nxt = nxt, nxt + 1
+            ok, _ = rec(ei + 1, nxt)
+            return (True, bound) if ok else (False, None)
+        for consumed in _reference_consumptions(constraint, tokens, ti):
+            ok, bound = rec(ei + 1, ti + consumed)
+            if ok:
+                return True, bound
+        return False, None
+
+    ok, bound = rec(0, start)
+    return bound if ok else None
+
+
+def _reference_match_sentence(sentence, cue_set, *, sentence_index=0,
+                              target_policy=TARGET_FIRST_NOUN):
+    """The backtracking matcher: every enabled rule at every start, tried
+    element by element with ``TokenConstraint.matches_token``."""
+    tokens = sentence.tokens
+    hits = []
+    for rule in cue_set.rules:
+        if not rule.enabled:
+            continue
+        for start in range(len(tokens)):
+            bound = _reference_match_rule_at(rule, tokens, start, target_policy)
+            if bound is not None:
+                hits.append(CueHit(rule.id, tokens[bound].lemma,
+                                   sentence_index, bound))
+    return hits
+
+
+def assert_same_hits(sentences, cue_set):
+    for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
+        for index, sentence in enumerate(sentences):
+            want = _reference_match_sentence(sentence, cue_set, sentence_index=index,
+                                             target_policy=policy)
+            got = match_sentence(sentence, cue_set, sentence_index=index,
+                                 target_policy=policy)
+            assert got == want, (cue_set.cue_ids, policy, sentence)
+
+
+def _synth_sentences(language, seed):
+    """A small synthetic corpus, plus its sentences joined in runs of three
+    so that noun runs and later starts meet more rules."""
+    params = SynthParams(n_event=15, n_non_event=15, occurrences=(2, 5),
+                         noise=0.2, seed=seed)
+    text = generate_synthetic_corpus(params, language=language).corpus_text
+    sentences = list(parse_tagged_corpus(text.splitlines()))
+    joined = [Sentence(sum((s.tokens for s in sentences[i:i + 3]), ()))
+              for i in range(0, len(sentences), 3)]
+    return sentences + joined
+
+
+@pytest.mark.parametrize("language", ["EN", "ES"])
+def test_compiled_matcher_equals_reference_on_builtin_rules(language):
+    base = builtin_cue_set(language)
+    everything = base.with_all_enabled()
+    cue_sets = [base, everything]
+    for rule in base.rules:
+        cue_sets.append(base.with_enabled(rule.id, not rule.enabled))
+        only = everything
+        for other in base.rules:
+            if other.id != rule.id:
+                only = only.with_enabled(other.id, False)
+        cue_sets.append(only)
+    sentences = _synth_sentences(language, seed=3)
+    for cue_set in cue_sets:
+        assert_same_hits(sentences, cue_set)
+
+
+# a small vocabulary, so that generated rules and sentences meet often
+_LEMMAS = ["a", "b", "take", "place", "of", "the"]
+_LITERALS = ["take+place", "of+the", "a+b+a", "the+the"]
+_SURFACES = ["a", "A", "b", "La", "la"]
+_TOKEN_TAGS = ["NOUN", "NOUN:PL", "VERB", "VERB:PART", "ADJ", "DET", "ADP"]
+_PATTERN_TAGS = ["NOUN", "VERB", "VERB:PART", "ADJ", "DET", "ADP", "NOUN:PL"]
+
+
+def _alternatives(values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3,
+                    unique=True).map("|".join)
+
+
+_literal_atom = st.tuples(_alternatives(_LEMMAS), _alternatives(_LITERALS)).map(
+    lambda pair: f"lemma={pair[0]}|{pair[1]}")
+_fields = st.tuples(
+    st.one_of(st.none(), _alternatives(_LEMMAS).map("lemma={}".format)),
+    st.one_of(st.none(), _alternatives(_SURFACES).map("surface={}".format)),
+    st.one_of(st.none(), _alternatives(_PATTERN_TAGS).map("tag={}".format)),
+).map(lambda fields: ",".join(f for f in fields if f) or "any")
+_atom = st.one_of(
+    _literal_atom,
+    st.tuples(_fields, st.sampled_from(["", "", "?", "*"])).map("".join))
+
+
+@st.composite
+def _rule_sets(draw):
+    lines = []
+    for number in range(draw(st.integers(1, 4))):
+        atoms = draw(st.lists(_atom, max_size=4))
+        atoms.insert(draw(st.integers(0, len(atoms))), "TARGET")
+        flag = "\tdisabled" if draw(st.booleans()) and number else ""
+        lines.append(f"R-{number}\tpositive\t{' '.join(atoms)}{flag}")
+    return load_cue_set(lines, "EN")
+
+
+_token = st.tuples(st.sampled_from(_SURFACES), st.sampled_from(_LEMMAS),
+                   st.sampled_from(_TOKEN_TAGS)).map(lambda t: TaggedToken(*t))
+_sentence = st.lists(_token, min_size=1, max_size=10).map(
+    lambda tokens: Sentence(tuple(tokens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_sets(), st.lists(_sentence, min_size=1, max_size=4))
+def test_compiled_matcher_equals_reference_on_generated_rules(cue_set, sentences):
+    assert_same_hits(sentences, cue_set)

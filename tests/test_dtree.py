@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from eventnouns import (
     EVENT,
+    Dataset,
     FeatureVector,
     LabeledExample,
     NON_EVENT,
@@ -13,8 +15,11 @@ from eventnouns import (
     classify,
     entropy,
     pessimistic_upper_bound,
+    cross_validate,
+    to_relative,
     train,
 )
+from eventnouns import dtree
 from eventnouns.dtree import (
     TreeNode,
     count_nodes,
@@ -394,3 +399,99 @@ def test_format_tree_renders_tests_and_leaves():
     assert "EN-1 <= 0.5:" in text
     assert "EN-1 > 0.5:" in text
     assert "leaf [EVENT=2] -> EVENT" in text
+
+
+# --- histogram split search against the pairwise scan -----------------------------
+
+def _reference_best_split(examples, attribute, *, min_leaf=1):
+    """The pairwise scan: sort every example's (value, label) pair and test
+    the boundary after each one whose next value differs."""
+    pairs = sorted((ex.vector.counts[attribute], ex.label) for ex in examples)
+    n = len(pairs)
+    total_counts = Counter(label for _, label in pairs)
+    total_entropy = entropy(total_counts)
+    left_counts = Counter()
+    best = None
+    for i in range(n - 1):
+        left_counts[pairs[i][1]] += 1
+        value, next_value = pairs[i][0], pairs[i + 1][0]
+        if value == next_value:
+            continue
+        n_left = i + 1
+        n_right = n - n_left
+        if n_left < min_leaf or n_right < min_leaf:
+            continue
+        right_counts = {label: total_counts[label] - left_counts[label]
+                        for label in total_counts}
+        gain = (total_entropy
+                - (n_left / n) * entropy(left_counts)
+                - (n_right / n) * entropy(right_counts))
+        if gain <= 1e-12:
+            continue
+        p_left = n_left / n
+        split_info = -(p_left * math.log2(p_left)
+                       + (1 - p_left) * math.log2(1 - p_left))
+        ratio = gain / split_info
+        if best is None or ratio > best[2] + 1e-12:
+            best = ((value + next_value) / 2, gain, ratio)
+    return best
+
+
+def _reference_node_split(examples, min_leaf):
+    best = None
+    for attribute in range(len(examples[0].vector.counts)):
+        candidate = _reference_best_split(examples, attribute, min_leaf=min_leaf)
+        if candidate is not None and (best is None or candidate[2] > best[0] + 1e-12):
+            best = (candidate[2], attribute, candidate[0])
+    return None if best is None else best[1:]
+
+
+def _seeded_dataset(seed, n, relative=False):
+    """Labeled count vectors with a noisy signal on the first two cues: many
+    tied values, or, after ``to_relative``, mostly distinct float ones."""
+    rng = random.Random(seed)
+    vectors, labels = [], {}
+    for i in range(n):
+        label = rng.choice([EVENT, NON_EVENT])
+        signal = [rng.randint(1, 5) if label == EVENT and rng.random() > 0.3 else 0
+                  for _ in range(2)]
+        counts = signal + [rng.randint(0, 3) for _ in range(3)]
+        total = sum(counts) + rng.randint(0, 6)
+        vectors.append(FeatureVector(f"w{i:04d}", tuple(counts), total))
+        labels[f"w{i:04d}"] = label
+    dataset = Dataset(("C-1", "C-2", "C-3", "C-4", "C-5"), tuple(vectors), labels)
+    return to_relative(dataset) if relative else dataset
+
+
+def _examples_of(dataset):
+    return [LabeledExample(v, dataset.labels[v.lemma]) for v in dataset.vectors]
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
+def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative):
+    datasets = [_examples_of(_seeded_dataset(900 + seed, 40 + 30 * seed, relative))
+                for seed in range(5)]
+    for examples in datasets:
+        for attribute in range(5):
+            for min_leaf in (1, 2):
+                # exact, not approximate: the floats are the same
+                assert best_split(examples, attribute, min_leaf=min_leaf) == \
+                    _reference_best_split(examples, attribute, min_leaf=min_leaf)
+    grid = [TreeParams(min_leaf=min_leaf, confidence_factor=cf)
+            for cf in (0.05, 0.25, 0.5, 0.9) for min_leaf in (1, 2)]
+
+    def trees():
+        return [tree_to_dict(train(examples, params))
+                for examples in datasets for params in grid]
+
+    histogram_trees = trees()
+    monkeypatch.setattr(dtree, "_best_node_split", _reference_node_split)
+    assert histogram_trees == trees()
+    assert max(count_nodes(tree_from_dict(t)) for t in histogram_trees) > 15
+
+
+def test_cross_validation_matches_pairwise_reference(monkeypatch):
+    dataset = _seeded_dataset(77, 1000)
+    report = cross_validate(dataset, TreeParams(), k=10, seed=5)
+    monkeypatch.setattr(dtree, "_best_node_split", _reference_node_split)
+    assert report == cross_validate(dataset, TreeParams(), k=10, seed=5)
