@@ -26,8 +26,8 @@ COARSE_TAGS = frozenset({
     "ADP", "PRON", "NUM", "CONJ", "PART", "PUNCT", "OTHER",
 })
 
-# distinct token lines kept for reuse per parse; corpora have a long tail
-# of types seen once, so the first few thousand cover most occurrences
+# distinct token lines kept for reuse per parse; the limit bounds the dict,
+# and past it a new line costs one failed lookup
 INTERN_LIMIT = 4096
 
 

@@ -159,6 +159,12 @@ class CueSet:
         return CueSet(self.language, tuple(
             replace(r, enabled=True) for r in self.rules))
 
+    @functools.cached_property
+    def _compiled(self) -> _CompiledCueSet:
+        # built on the first match, not at load; not a field, so equality
+        # and hashing ignore it
+        return _CompiledCueSet(self)
+
 
 @dataclass(frozen=True)
 class CueHit:
@@ -322,19 +328,6 @@ def _match_from(elements, ei: int, ti: int, masks, tokens, last_noun: bool,
     return bound
 
 
-# one-entry cache: the cue set matched last and its compiled form
-_compiled: tuple[CueSet | None, _CompiledCueSet | None] = (None, None)
-
-
-def _compile(cue_set: CueSet) -> _CompiledCueSet:
-    global _compiled
-    cached, compiled = _compiled
-    if cue_set is not cached:
-        compiled = _CompiledCueSet(cue_set)
-        _compiled = (cue_set, compiled)
-    return compiled
-
-
 def match_sentence(sentence: Sentence, cue_set: CueSet, *,
                    sentence_index: int = 0,
                    target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
@@ -350,12 +343,11 @@ def match_sentence(sentence: Sentence, cue_set: CueSet, *,
     prefix, compound head or not; ``TARGET_LAST_NOUN`` binds the last noun
     of the consecutive noun run instead.
 
-    The cue set is compiled on its first call and kept until a call with
-    another cue set.
+    Each cue set is compiled on its first call and keeps its compiled form.
     """
     if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         raise ValueError(f"unknown target policy: {target_policy!r}")
-    compiled = _compile(cue_set)
+    compiled = cue_set._compiled
     tokens = sentence.tokens
     masks = compiled.masks(tokens)
     present = 0
