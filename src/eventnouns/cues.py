@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .corpus import COARSE_TAGS, Sentence, TaggedToken, coarse_tag
+from .corpus import COARSE_TAGS, Sentence, coarse_tag
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -77,16 +77,6 @@ class TokenConstraint:
                 raise ValueError("multi-token lemma literals cannot combine "
                                  "with surface or tag constraints")
 
-    def matches_token(self, token: TaggedToken) -> bool:
-        if self.lemma_in is not None and token.lemma not in self.lemma_in:
-            return False
-        if self.surface_in is not None and token.surface.lower() not in self.surface_in:
-            return False
-        if self.tag_in is not None and not any(
-                _tag_matches(pattern, token.tag) for pattern in self.tag_in):
-            return False
-        return True
-
 
 def _tag_matches(pattern: str, tag: str) -> bool:
     # a coarse-only pattern matches any refinement; a refined pattern is exact
@@ -98,7 +88,6 @@ def _tag_matches(pattern: str, tag: str) -> bool:
 @dataclass(frozen=True)
 class CueRule:
     id: str
-    language: str
     polarity: str
     elements: tuple[TokenConstraint, ...]
     target_index: int
@@ -437,8 +426,7 @@ def load_cue_set(lines: Iterable[str], language: str) -> CueSet:
                 raise ValueError(f"cue line {line_number}: bad flag {fields[3]!r}")
             enabled = fields[3] == "enabled"
         elements, target_index = parse_pattern(pattern, f"cue line {line_number}")
-        rules.append(CueRule(rule_id, language, polarity, elements,
-                             target_index, enabled))
+        rules.append(CueRule(rule_id, polarity, elements, target_index, enabled))
     return CueSet(language, tuple(rules))
 
 

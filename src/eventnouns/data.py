@@ -1,11 +1,11 @@
 """Built-in gold standards and a deterministic synthetic corpus generator.
 
-The English gold standard ships with the package; the Spanish one is a
-small illustrative sample only. The generator produces a tagged corpus with
-known ground truth by wrapping invented lemmas in hand-written one-cue
-sentence templates, so the whole pipeline is testable without any real
-corpus. Every draw is logged, which gives tests an exact oracle for the
-counts the extractor must recover.
+The English gold standard ships with the package; Spanish has none, so a
+Spanish run reads its gold standard from a file. The generator produces a
+tagged corpus with known ground truth by wrapping invented lemmas in
+hand-written one-cue sentence templates, so the whole pipeline is testable
+without any real corpus. Every draw is logged, which gives tests an exact
+oracle for the counts the extractor must recover.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ def english_gold() -> GoldStandard:
     entries = {lemma: EVENT for lemma in _ENGLISH_EVENT}
     entries.update({lemma: NON_EVENT for lemma in _ENGLISH_NON_EVENT})
     return GoldStandard("EN", entries)
-
-
-def spanish_sample_gold() -> GoldStandard:
-    """A six-word illustrative Spanish sample, NOT a benchmark gold standard."""
-    return GoldStandard("ES", {
-        "guerra": EVENT, "accidente": EVENT, "fiesta": EVENT,
-        "terremoto": EVENT, "tren": NON_EVENT, "mapa": NON_EVENT,
-    })
 
 
 def load_gold(path: str, *, language: str = "") -> GoldStandard:

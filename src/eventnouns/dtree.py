@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .features import FeatureVector, NON_EVENT
 
@@ -73,13 +73,9 @@ class Prediction:
     gold: str | None = None
 
 
-def entropy(class_counts) -> float:
-    """Shannon entropy in bits of a class distribution.
-
-    Accepts a mapping label -> count or a bare iterable of counts.
-    """
-    counts = list(class_counts.values()) if isinstance(class_counts, Mapping) \
-        else list(class_counts)
+def entropy(class_counts: Iterable[int]) -> float:
+    """Shannon entropy in bits of a class distribution, given its counts."""
+    counts = list(class_counts)
     if any(c < 0 for c in counts):
         raise ValueError("negative class count")
     total = sum(counts)
@@ -124,7 +120,7 @@ def _best_threshold(histogram: Mapping[tuple[float, str], int],
     for (_, label), count in items:
         total_counts[label] += count
     n = sum(total_counts.values())
-    total_entropy = entropy(total_counts)
+    total_entropy = entropy(total_counts.values())
     left_counts: Counter[str] = Counter()
     n_left = 0
     best: tuple[float, float, float] | None = None
@@ -141,8 +137,8 @@ def _best_threshold(histogram: Mapping[tuple[float, str], int],
         right_counts = {label: total_counts[label] - left_counts[label]
                         for label in total_counts}
         gain = (total_entropy
-                - (n_left / n) * entropy(left_counts)
-                - (n_right / n) * entropy(right_counts))
+                - (n_left / n) * entropy(left_counts.values())
+                - (n_right / n) * entropy(right_counts.values()))
         if gain <= _EPS:
             continue
         p_left = n_left / n
@@ -376,20 +372,14 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
             params, payload.get("language", ""))
 
 
-def format_tree(node: TreeNode, attribute_names: Sequence[str] | None = None,
+def format_tree(node: TreeNode, attribute_names: Sequence[str],
                 _prefix: str = "") -> str:
     """Indented text rendering: one test per internal node, counts at leaves."""
-
-    def name(attribute: int) -> str:
-        if attribute_names is not None:
-            return attribute_names[attribute]
-        return f"x{attribute}"
-
     if node.is_leaf:
         counts = " ".join(f"{label}={c}" for label, c in sorted(node.class_counts.items()))
         return f"{_prefix}leaf [{counts}] -> {_majority(node.class_counts)}\n"
     child_prefix = _prefix + "|   "
-    return (f"{_prefix}{name(node.attribute)} <= {node.threshold:g}:\n"
+    return (f"{_prefix}{attribute_names[node.attribute]} <= {node.threshold:g}:\n"
             + format_tree(node.left, attribute_names, child_prefix)
-            + f"{_prefix}{name(node.attribute)} > {node.threshold:g}:\n"
+            + f"{_prefix}{attribute_names[node.attribute]} > {node.threshold:g}:\n"
             + format_tree(node.right, attribute_names, child_prefix))

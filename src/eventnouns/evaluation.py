@@ -103,17 +103,16 @@ def cross_validate(dataset: Dataset, params: TreeParams | None = None,
 
 
 def precision_curve(predictions: Sequence[Prediction],
-                    positive_class: str = EVENT,
                     thresholds: Iterable[float] | None = None) -> list[CurvePoint]:
-    """Positive-class precision at each confidence threshold.
+    """Positive-class (EVENT) precision at each confidence threshold.
 
     At threshold t the retained set is every prediction with
-    ``predicted == positive_class`` and ``confidence >= t`` (inclusive, so
+    ``predicted == EVENT`` and ``confidence >= t`` (inclusive, so
     t=1.0 still captures fully confident decisions). Precision is None when
     the retained set is empty, never a made-up 0 or 1.
     """
     grid = DEFAULT_THRESHOLDS if thresholds is None else tuple(thresholds)
-    positives = [p for p in predictions if p.predicted == positive_class]
+    positives = [p for p in predictions if p.predicted == EVENT]
     for p in positives:
         if p.gold is None:
             raise ValueError(f"prediction for {p.lemma!r} has no gold label")
@@ -121,7 +120,7 @@ def precision_curve(predictions: Sequence[Prediction],
     for threshold in grid:
         retained = [p for p in positives if p.confidence >= threshold]
         if retained:
-            correct = sum(1 for p in retained if p.gold == positive_class)
+            correct = sum(1 for p in retained if p.gold == EVENT)
             precision = correct / len(retained)
         else:
             precision = None
@@ -145,10 +144,10 @@ def filter_by_confidence(predictions: Sequence[Prediction],
 
 # --- report output ----------------------------------------------------------
 
-def format_report(report: EvalReport, k: int | None = None) -> str:
+def format_report(report: EvalReport, k: int) -> str:
     lines = []
     lines.append(f"examples: {len(report.predictions)}")
-    lines.append(f"folds: {k if k is not None else len(report.fold_accuracies)}")
+    lines.append(f"folds: {k}")
     lines.append("fold accuracies: "
                  + ", ".join(f"{a:.4f}" for a in report.fold_accuracies))
     lines.append(f"mean accuracy: {report.mean_accuracy:.4f}")

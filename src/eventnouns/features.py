@@ -9,6 +9,7 @@ all-zero vectors so that silent words still take part in evaluation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -37,8 +38,11 @@ class FeatureVector:
     total_occurrences: float
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts) or self.total_occurrences < 0:
+        counts = (*self.counts, self.total_occurrences)
+        if any(c < 0 for c in counts):
             raise ValueError(f"negative count for lemma {self.lemma!r}")
+        if not all(c < math.inf for c in counts):  # NaN < inf is False too
+            raise ValueError(f"non-finite count for lemma {self.lemma!r}")
         if self.total_occurrences == 0 and any(c != 0 for c in self.counts):
             # every cue hit is an occurrence, so a never-seen lemma has no hits
             raise ValueError(f"lemma {self.lemma!r} has cue counts but no occurrences")
@@ -79,11 +83,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def label_of(self, lemma: str) -> str:
-        if self.labels is None:
-            raise ValueError("dataset is unlabeled")
-        return self.labels[lemma]
-
 
 def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
                      target_lemmas: Iterable[str], *,
@@ -102,7 +101,7 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
     totals = dict.fromkeys(targets, 0)
     for sentence_index, sentence in enumerate(corpus):
         for token in sentence:
-            if token.coarse == "NOUN" and token.lemma in totals:
+            if token.lemma in totals and token.coarse == "NOUN":
                 totals[token.lemma] += 1
         for hit in match_sentence(sentence, cue_set,
                                   sentence_index=sentence_index,

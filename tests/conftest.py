@@ -1,4 +1,4 @@
-from eventnouns import Sentence, TaggedToken
+from eventnouns.corpus import Sentence, TaggedToken
 
 
 def tok(surface: str, tag: str, lemma: str | None = None) -> TaggedToken:

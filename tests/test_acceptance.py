@@ -15,37 +15,40 @@ import time
 from contextlib import contextmanager
 
 from conftest import sent
-from eventnouns import (
-    EVENT,
-    FeatureVector,
-    LabeledExample,
-    NON_EVENT,
-    Prediction,
-    SynthParams,
-    TreeParams,
-    attach_labels,
-    best_split,
-    builtin_cue_set,
-    classify,
-    cross_validate,
-    english_gold,
-    entropy,
-    extract_features,
-    filter_by_confidence,
-    generate_synthetic_corpus,
-    match_sentence,
-    parse_tagged_corpus,
-    precision_curve,
-    train,
-)
 from eventnouns.cli import main as cli_main
+from eventnouns.corpus import parse_tagged_corpus
+from eventnouns.cues import builtin_cue_set, match_sentence
 from eventnouns.data import (
+    SynthParams,
     _ENGLISH_EVENT,
     _ENGLISH_NON_EVENT,
     _TEMPLATES,
+    english_gold,
+    generate_synthetic_corpus,
     instantiate_template,
 )
-from eventnouns.dtree import count_nodes
+from eventnouns.dtree import (
+    LabeledExample,
+    Prediction,
+    TreeParams,
+    best_split,
+    classify,
+    count_nodes,
+    entropy,
+    train,
+)
+from eventnouns.evaluation import (
+    cross_validate,
+    filter_by_confidence,
+    precision_curve,
+)
+from eventnouns.features import (
+    EVENT,
+    FeatureVector,
+    NON_EVENT,
+    attach_labels,
+    extract_features,
+)
 from test_dtree import oracle_best_split
 
 

@@ -198,6 +198,29 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("row", ["war,4,nan,EVENT", "war,4,inf,EVENT",
+                                 "war,nan,3,EVENT"],
+                         ids=["nan-count", "inf-count", "nan-total"])
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_non_finite_dataset_count_is_data_error(tmp_path, capsys, command, row):
+    clean = tmp_path / "clean.csv"
+    clean.write_text(LABELED_DATASET, encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert run(["train", "--min-leaf", "1", "--dataset", str(clean),
+                "--out", str(model)]) == 0
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row),
+                       encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"train": ["train"],
+            "classify": ["classify", "--model", str(model)],
+            "evaluate": ["evaluate", "--seed", "1", "--k", "2"]}[command]
+    assert run([*argv, "--dataset", str(dataset), "--out", str(out)]) == 1
+    assert "non-finite count for lemma 'war'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--p-event", "1.5"), ("--p-non-event", "-0.1"), ("--noise", "2"),
     ("--silence", "1.5"), ("--silence-event", "1.5"), ("--silence-non-event", "-1"),

@@ -3,19 +3,18 @@ import random
 import pytest
 
 from conftest import sent
-from eventnouns import (
+from eventnouns.corpus import (
+    COARSE_TAGS,
     CorpusParseError,
     Sentence,
-    SynthParams,
     TaggedToken,
-    builtin_cue_set,
-    extract_features,
-    generate_synthetic_corpus,
     parse_tagged_corpus,
     serialize_corpus,
 )
+from eventnouns.cues import builtin_cue_set
+from eventnouns.data import SynthParams, generate_synthetic_corpus
+from eventnouns.features import extract_features
 from eventnouns import corpus
-from eventnouns.corpus import COARSE_TAGS
 
 
 def parse(text: str, **kwargs):

@@ -4,20 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sent
-from eventnouns import (
+from eventnouns.corpus import Sentence, TaggedToken, parse_tagged_corpus
+from eventnouns.cues import (
     CueHit,
-    Sentence,
-    SynthParams,
-    TaggedToken,
+    MAX_STAR,
+    NEGATIVE,
+    Repeat,
     TARGET_FIRST_NOUN,
     TARGET_LAST_NOUN,
+    TokenConstraint,
     builtin_cue_set,
-    generate_synthetic_corpus,
     load_cue_set,
     match_sentence,
-    parse_tagged_corpus,
 )
-from eventnouns.cues import MAX_STAR, NEGATIVE, Repeat, TokenConstraint
+from eventnouns.data import SynthParams, generate_synthetic_corpus
 
 
 def hits_of(sentence, cue_set, **kwargs):
@@ -264,11 +264,26 @@ def test_optional_atom_consumes_at_most_one_token():
 
 # --- the compiled matcher against the backtracking reference ------------------
 
+def _reference_holds(constraint, token):
+    """Whether one atom holds on one token, checked field by field."""
+    if constraint.lemma_in is not None and token.lemma not in constraint.lemma_in:
+        return False
+    if (constraint.surface_in is not None
+            and token.surface.lower() not in constraint.surface_in):
+        return False
+    # a coarse-only tag matches any refinement; a refined tag is exact
+    if constraint.tag_in is not None and not any(
+            token.tag == pattern if ":" in pattern else token.coarse == pattern
+            for pattern in constraint.tag_in):
+        return False
+    return True
+
+
 def _reference_consumptions(constraint, tokens, i):
     """Token counts an element may consume at position i, ascending."""
     if constraint.repeat is Repeat.ONE:
         lengths = []
-        if i < len(tokens) and constraint.matches_token(tokens[i]):
+        if i < len(tokens) and _reference_holds(constraint, tokens[i]):
             lengths.append(1)
         for entry in constraint.lemma_in or ():
             if " " not in entry:
@@ -282,7 +297,7 @@ def _reference_consumptions(constraint, tokens, i):
     options = [0]
     k = 0
     while (k < limit and i + k < len(tokens)
-           and constraint.matches_token(tokens[i + k])):
+           and _reference_holds(constraint, tokens[i + k])):
         k += 1
         options.append(k)
     return options
@@ -296,11 +311,11 @@ def _reference_match_rule_at(rule, tokens, start, target_policy):
             return True, None
         constraint = elements[ei]
         if ei == rule.target_index:
-            if ti >= len(tokens) or not constraint.matches_token(tokens[ti]):
+            if ti >= len(tokens) or not _reference_holds(constraint, tokens[ti]):
                 return False, None
             bound, nxt = ti, ti + 1
             if target_policy == TARGET_LAST_NOUN:
-                while nxt < len(tokens) and constraint.matches_token(tokens[nxt]):
+                while nxt < len(tokens) and _reference_holds(constraint, tokens[nxt]):
                     bound, nxt = nxt, nxt + 1
             ok, _ = rec(ei + 1, nxt)
             return (True, bound) if ok else (False, None)
@@ -317,7 +332,7 @@ def _reference_match_rule_at(rule, tokens, start, target_policy):
 def _reference_match_sentence(sentence, cue_set, *, sentence_index=0,
                               target_policy=TARGET_FIRST_NOUN):
     """The backtracking matcher: every enabled rule at every start, tried
-    element by element with ``TokenConstraint.matches_token``."""
+    element by element with ``_reference_holds``."""
     tokens = sentence.tokens
     hits = []
     for rule in cue_set.rules:

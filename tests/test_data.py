@@ -2,29 +2,23 @@ from collections import Counter
 
 import pytest
 
-from eventnouns import (
-    EVENT,
-    NON_EVENT,
-    SynthParams,
-    builtin_cue_set,
-    english_gold,
-    extract_features,
-    generate_synthetic_corpus,
-    load_gold,
-    match_sentence,
-    parse_tagged_corpus,
-    spanish_sample_gold,
-)
+from eventnouns.corpus import parse_tagged_corpus
+from eventnouns.cues import builtin_cue_set, match_sentence
 from eventnouns.data import (
+    SynthParams,
     _ENGLISH_EVENT,
     _ENGLISH_NON_EVENT,
     _TEMPLATES,
     draw_log_counts,
+    english_gold,
+    generate_synthetic_corpus,
     instantiate_template,
+    load_gold,
     validate_templates,
     write_draw_log_csv,
     write_gold_csv,
 )
+from eventnouns.features import EVENT, NON_EVENT, extract_features
 
 
 # --- gold standards -----------------------------------------------------------
@@ -56,14 +50,6 @@ def test_english_gold_lists_disjoint():
     counts = Counter(gold.entries.values())
     assert counts[EVENT] + counts[NON_EVENT] == len(gold)  # no third label
     assert len(gold) == len(_ENGLISH_EVENT) + len(_ENGLISH_NON_EVENT)
-
-
-def test_spanish_sample_is_small_and_marked():
-    gold = spanish_sample_gold()
-    assert len(gold) == 6
-    assert gold.entries["terremoto"] == EVENT
-    assert gold.entries["tren"] == NON_EVENT
-    assert "NOT a benchmark" in spanish_sample_gold.__doc__
 
 
 def test_load_gold_roundtrip(tmp_path):
@@ -250,7 +236,7 @@ def test_draw_log_csv(tmp_path):
 
 
 def test_generator_rejects_rules_without_templates():
-    from eventnouns import load_cue_set
+    from eventnouns.cues import load_cue_set
 
     custom = load_cue_set(["Z-1\tpositive\tlemma=near TARGET"], "EN")
     with pytest.raises(ValueError) as exc:

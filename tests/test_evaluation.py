@@ -2,24 +2,18 @@ import random
 
 import pytest
 
-from eventnouns import (
-    Dataset,
-    EVENT,
-    FeatureVector,
-    NON_EVENT,
-    Prediction,
-    TreeParams,
+from eventnouns.dtree import Prediction, TreeParams
+from eventnouns.evaluation import (
     cross_validate,
     filter_by_confidence,
-    precision_curve,
-    stratified_folds,
-)
-from eventnouns.evaluation import (
     format_report,
+    precision_curve,
     read_predictions_csv,
+    stratified_folds,
     write_curve_csv,
     write_predictions_csv,
 )
+from eventnouns.features import Dataset, EVENT, FeatureVector, NON_EVENT
 
 
 def zero_dataset(n_event, n_non_event, counts=(0,)):

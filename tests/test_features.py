@@ -3,21 +3,19 @@ import random
 import pytest
 
 from conftest import sent
-from eventnouns import (
+from eventnouns.cues import builtin_cue_set, match_sentence
+from eventnouns.data import _TEMPLATES, english_gold, instantiate_template
+from eventnouns.features import (
     Dataset,
     EVENT,
     FeatureVector,
     NON_EVENT,
     attach_labels,
-    builtin_cue_set,
-    english_gold,
     extract_features,
-    match_sentence,
     read_dataset_csv,
     to_relative,
     write_dataset_csv,
 )
-from eventnouns.data import _TEMPLATES, instantiate_template
 
 
 def guerra_corpus():
@@ -202,3 +200,12 @@ def test_read_dataset_csv_errors(tmp_path):
     short_row.write_text("lemma,total,C-1,C-2\nwar,1,1\n")
     with pytest.raises(ValueError):
         read_dataset_csv(str(short_row))
+
+
+@pytest.mark.parametrize("row", ["war,4,nan", "war,4,inf", "war,nan,1"],
+                         ids=["nan-count", "inf-count", "nan-total"])
+def test_read_dataset_csv_rejects_non_finite_counts(tmp_path, row):
+    path = tmp_path / "dataset.csv"
+    path.write_text("lemma,total,C-1\nmap,2,0\n" + row + "\n")
+    with pytest.raises(ValueError, match="non-finite count for lemma 'war'"):
+        read_dataset_csv(str(path))
