@@ -4,6 +4,11 @@ Binary threshold splits chosen by gain ratio, pessimistic-error subtree
 replacement pruning, and leaf class distributions that double as prediction
 confidence. Everything is deterministic: ties break toward the lowest
 attribute index, the lowest threshold, and the NON_EVENT class.
+
+Growth keeps a ``value -> count`` histogram per attribute and label for
+each node, counting only the smaller child of a split and subtracting it
+from the parent's for the larger, so that a histogram always holds the
+node's counts only, with no zero entries.
 """
 
 from __future__ import annotations
@@ -102,43 +107,38 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
     return _best_threshold(
-        Counter((ex.vector.counts[attribute], ex.label) for ex in examples), min_leaf)
+        [Counter(ex.vector.counts[attribute] for ex in examples if ex.label == label)
+         for label in sorted({ex.label for ex in examples})], min_leaf)
 
 
-def _best_threshold(histogram: Mapping[tuple[float, str], int],
+def _best_threshold(histograms: Sequence[Mapping[float, int]],
                     min_leaf: int) -> tuple[float, float, float] | None:
-    """:func:`best_split` over a ``(value, label) -> count`` histogram.
+    """:func:`best_split` over one ``value -> count`` histogram per label.
 
-    The scan visits each distinct value once, not each example. Labels
-    enter ``left_counts`` and ``total_counts`` in the order a scan over the
-    sorted examples would add them, and there are only two labels anyway:
-    a sum of two entropy terms is the same float in either order. So every
-    gain and ratio is bit-identical to the per-example scan's.
+    The scan visits each distinct value once, not each example, and keeps
+    integer per-label counts of the examples left of it. Labels enter the
+    entropies in label order, not in the order a scan over the sorted
+    examples would meet them, but there are only two labels: a sum of two
+    entropy terms is the same float in either order. So every gain and
+    ratio is bit-identical to the per-example scan's.
     """
-    items = sorted(histogram.items())
-    total_counts: Counter[str] = Counter()
-    for (_, label), count in items:
-        total_counts[label] += count
-    n = sum(total_counts.values())
-    total_entropy = entropy(total_counts.values())
-    left_counts: Counter[str] = Counter()
-    n_left = 0
+    totals = [sum(histogram.values()) for histogram in histograms]
+    n = sum(totals)
+    total_entropy = entropy(totals)
+    values = sorted(set().union(*histograms))
+    left = [0] * len(histograms)
     best: tuple[float, float, float] | None = None
-    for i in range(len(items) - 1):
-        (value, label), count = items[i]
-        left_counts[label] += count
-        n_left += count
-        next_value = items[i + 1][0][0]
-        if value == next_value:
-            continue
+    for value, next_value in zip(values, values[1:]):
+        for i, histogram in enumerate(histograms):
+            left[i] += histogram.get(value, 0)
+        n_left = sum(left)
         n_right = n - n_left
         if n_left < min_leaf or n_right < min_leaf:
             continue
-        right_counts = {label: total_counts[label] - left_counts[label]
-                        for label in total_counts}
+        right = [total - count for total, count in zip(totals, left)]
         gain = (total_entropy
-                - (n_left / n) * entropy(left_counts.values())
-                - (n_right / n) * entropy(right_counts.values()))
+                - (n_left / n) * entropy(left)
+                - (n_right / n) * entropy(right))
         if gain <= _EPS:
             continue
         p_left = n_left / n
@@ -204,44 +204,62 @@ def train(examples: Sequence[LabeledExample],
             raise ValueError(
                 f"inconsistent dimensionality: {len(ex.vector.counts)} vs {dim}")
     label_order = sorted({ex.label for ex in examples})
-    node = _grow(examples, params, label_order)
+    groups = [[ex.vector.counts for ex in examples if ex.label == label]
+              for label in label_order]
+    node = _grow(groups, _histograms(groups, dim), params, label_order)
     if params.pruning:
         node, _ = _pruned(node, params.confidence_factor)
     return node
 
 
-def _counts_of(examples, label_order) -> dict[str, int]:
-    raw = Counter(ex.label for ex in examples)
-    return {label: raw.get(label, 0) for label in label_order}
+def _histograms(groups, dim) -> list[tuple[Counter, ...]]:
+    """Per attribute, one ``value -> count`` Counter per label.
+
+    ``groups`` holds each label's count vectors, in label order.
+    """
+    by_label = [[Counter(column) for column in zip(*rows)]
+                or [Counter() for _ in range(dim)] for rows in groups]
+    return list(zip(*by_label))
 
 
-def _grow(examples, params, label_order) -> TreeNode:
-    counts = _counts_of(examples, label_order)
-    nonzero = [c for c in counts.values() if c > 0]
-    if len(nonzero) == 1 or len(examples) < 2 * params.min_leaf:
+def _grow(groups, histograms, params, label_order) -> TreeNode:
+    """Grow the subtree of the vectors in ``groups``, one list per label.
+
+    ``histograms`` are the node's own, as :func:`_histograms` would count
+    them. A split counts only its smaller child; the larger child's
+    histograms are the parent's minus the smaller's.
+    """
+    counts = {label: len(rows) for label, rows in zip(label_order, groups)}
+    n = sum(counts.values())
+    if max(counts.values()) == n or n < 2 * params.min_leaf:
         return TreeNode(counts)
-    best = _best_node_split(examples, params.min_leaf)
+    best = _best_node_split(histograms, params.min_leaf)
     if best is None:
         return TreeNode(counts)
     attribute, threshold = best
-    left = [ex for ex in examples if ex.vector.counts[attribute] <= threshold]
-    right = [ex for ex in examples if ex.vector.counts[attribute] > threshold]
+    left = [[row for row in rows if row[attribute] <= threshold] for rows in groups]
+    right = [[row for row in rows if row[attribute] > threshold] for rows in groups]
+    left_is_smaller = 2 * sum(map(len, left)) <= n
+    smaller = _histograms(left if left_is_smaller else right, len(histograms))
+    # Counter's `-` drops the entries that fall to zero; a zero-count value
+    # left behind would add a boundary that moves the midpoint thresholds
+    larger = [tuple(p - s for p, s in zip(parent, small))
+              for parent, small in zip(histograms, smaller)]
+    left_histograms, right_histograms = \
+        (smaller, larger) if left_is_smaller else (larger, smaller)
     return TreeNode(counts, attribute, threshold,
-                    _grow(left, params, label_order),
-                    _grow(right, params, label_order))
+                    _grow(left, left_histograms, params, label_order),
+                    _grow(right, right_histograms, params, label_order))
 
 
-def _best_node_split(examples, min_leaf) -> tuple[int, float] | None:
+def _best_node_split(histograms, min_leaf) -> tuple[int, float] | None:
     """``(attribute, threshold)`` of the best split over all attributes.
 
-    Ties go to the lowest attribute. The columns live only in this frame,
-    so they are freed before ``_grow`` recurses.
+    Ties go to the lowest attribute.
     """
-    labels = [ex.label for ex in examples]
     best = None  # (ratio, attribute, threshold)
-    columns = zip(*(ex.vector.counts for ex in examples))
-    for attribute, column in enumerate(columns):
-        candidate = _best_threshold(Counter(zip(column, labels)), min_leaf)
+    for attribute, per_label in enumerate(histograms):
+        candidate = _best_threshold(per_label, min_leaf)
         if candidate is None:
             continue
         threshold, _, ratio = candidate

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -38,6 +39,8 @@ class FeatureVector:
     total_occurrences: float
 
     def __post_init__(self):
+        if not self.lemma:
+            raise ValueError("feature vector with an empty lemma")
         counts = (*self.counts, self.total_occurrences)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative count for lemma {self.lemma!r}")
@@ -61,6 +64,9 @@ class Dataset:
     labels: Mapping[str, str] | None = None
 
     def __post_init__(self):
+        repeated = sorted(c for c, k in Counter(self.cue_ids).items() if k > 1)
+        if repeated:
+            raise ValueError("duplicate cue ids in dataset: " + ", ".join(repeated))
         lemmas = [v.lemma for v in self.vectors]
         if len(lemmas) != len(set(lemmas)):
             raise ValueError("duplicate lemmas in dataset")

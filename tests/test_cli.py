@@ -198,27 +198,50 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()  # rejected before any work
 
 
-@pytest.mark.parametrize("row", ["war,4,nan,EVENT", "war,4,inf,EVENT",
-                                 "war,nan,3,EVENT"],
-                         ids=["nan-count", "inf-count", "nan-total"])
-@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
-def test_non_finite_dataset_count_is_data_error(tmp_path, capsys, command, row):
+def _run_on_bad_dataset(tmp_path, capsys, command, text):
+    """Exit code of ``command`` on a dataset CSV holding ``text``, with a
+    model trained on a clean dataset for ``classify``; asserts that nothing
+    was written."""
     clean = tmp_path / "clean.csv"
     clean.write_text(LABELED_DATASET, encoding="utf-8")
     model = tmp_path / "model.json"
     assert run(["train", "--min-leaf", "1", "--dataset", str(clean),
                 "--out", str(model)]) == 0
     dataset = tmp_path / "dataset.csv"
-    dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row),
-                       encoding="utf-8")
+    dataset.write_text(text, encoding="utf-8")
     capsys.readouterr()
     out = tmp_path / "out"
     argv = {"train": ["train"],
             "classify": ["classify", "--model", str(model)],
             "evaluate": ["evaluate", "--seed", "1", "--k", "2"]}[command]
-    assert run([*argv, "--dataset", str(dataset), "--out", str(out)]) == 1
-    assert "non-finite count for lemma 'war'" in capsys.readouterr().err
+    code = run([*argv, "--dataset", str(dataset), "--out", str(out)])
     assert not out.exists()
+    return code
+
+
+@pytest.mark.parametrize("row", ["war,4,nan,EVENT", "war,4,inf,EVENT",
+                                 "war,nan,3,EVENT"],
+                         ids=["nan-count", "inf-count", "nan-total"])
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_non_finite_dataset_count_is_data_error(tmp_path, capsys, command, row):
+    text = LABELED_DATASET.replace("war,4,3,EVENT", row)
+    assert _run_on_bad_dataset(tmp_path, capsys, command, text) == 1
+    assert "non-finite count for lemma 'war'" in capsys.readouterr().err
+
+
+DUPLICATE_CUE_DATASET = ("lemma,total,X-1,X-1,label\n"
+                         "war,4,3,3,EVENT\nstorm,3,2,2,EVENT\n"
+                         "map,2,0,0,NON_EVENT\ntree,5,1,1,NON_EVENT\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (DUPLICATE_CUE_DATASET, "duplicate cue ids in dataset: X-1"),
+    (LABELED_DATASET.replace("war,4,3,EVENT", ",4,3,EVENT"), "empty lemma"),
+], ids=["duplicate-cue", "empty-lemma"])
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate"])
+def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, message):
+    assert _run_on_bad_dataset(tmp_path, capsys, command, text) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -445,6 +445,25 @@ def _reference_node_split(examples, min_leaf):
     return None if best is None else best[1:]
 
 
+def _reference_grow(groups, histograms, params, label_order):
+    """Growth without histograms: each node is split by the pairwise scan
+    over its own examples. Stands in for ``dtree._grow``."""
+    counts = {label: len(rows) for label, rows in zip(label_order, groups)}
+    examples = [ex(row, label) for label, rows in zip(label_order, groups)
+                for row in rows]
+    if sum(1 for c in counts.values() if c) == 1 or len(examples) < 2 * params.min_leaf:
+        return TreeNode(counts)
+    best = _reference_node_split(examples, params.min_leaf)
+    if best is None:
+        return TreeNode(counts)
+    attribute, threshold = best
+    left = [[row for row in rows if row[attribute] <= threshold] for rows in groups]
+    right = [[row for row in rows if row[attribute] > threshold] for rows in groups]
+    return TreeNode(counts, attribute, threshold,
+                    _reference_grow(left, None, params, label_order),
+                    _reference_grow(right, None, params, label_order))
+
+
 def _seeded_dataset(seed, n, relative=False):
     """Labeled count vectors with a noisy signal on the first two cues: many
     tied values, or, after ``to_relative``, mostly distinct float ones."""
@@ -472,19 +491,20 @@ def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative
                 for seed in range(5)]
     for examples in datasets:
         for attribute in range(5):
-            for min_leaf in (1, 2):
+            for min_leaf in (1, 2, 5):
                 # exact, not approximate: the floats are the same
                 assert best_split(examples, attribute, min_leaf=min_leaf) == \
                     _reference_best_split(examples, attribute, min_leaf=min_leaf)
-    grid = [TreeParams(min_leaf=min_leaf, confidence_factor=cf)
-            for cf in (0.05, 0.25, 0.5, 0.9) for min_leaf in (1, 2)]
+    grid = [TreeParams(min_leaf=min_leaf, confidence_factor=cf, pruning=pruning)
+            for cf in (0.05, 0.25, 0.5, 0.9) for min_leaf in (1, 2, 5)
+            for pruning in (True, False)]
 
     def trees():
         return [tree_to_dict(train(examples, params))
                 for examples in datasets for params in grid]
 
     histogram_trees = trees()
-    monkeypatch.setattr(dtree, "_best_node_split", _reference_node_split)
+    monkeypatch.setattr(dtree, "_grow", _reference_grow)
     assert histogram_trees == trees()
     assert max(count_nodes(tree_from_dict(t)) for t in histogram_trees) > 15
 
@@ -492,5 +512,50 @@ def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative
 def test_cross_validation_matches_pairwise_reference(monkeypatch):
     dataset = _seeded_dataset(77, 1000)
     report = cross_validate(dataset, TreeParams(), k=10, seed=5)
-    monkeypatch.setattr(dtree, "_best_node_split", _reference_node_split)
+    monkeypatch.setattr(dtree, "_grow", _reference_grow)
     assert report == cross_validate(dataset, TreeParams(), k=10, seed=5)
+
+
+def _lopsided_examples(seed, n, relative=False):
+    """Three NON_EVENTs to one EVENT, and every EVENT fires C-1 while no
+    NON_EVENT does: the root splits on C-1, and its larger child, counted by
+    subtraction, has lost EVENT entirely."""
+    rng = random.Random(seed)
+    examples = []
+    for i in range(n):
+        label = EVENT if rng.random() < 0.25 else NON_EVENT
+        counts = [rng.randint(1, 5) if label == EVENT else 0]
+        counts += [rng.randint(0, 3) for _ in range(3)]
+        total = sum(counts) + rng.randint(0, 6)
+        if relative:
+            counts = [c / max(total, 1) for c in counts]
+        examples.append(LabeledExample(FeatureVector(f"w{i}", tuple(counts), total),
+                                       label))
+    return examples
+
+
+@pytest.mark.parametrize("min_leaf", [1, 2, 5])
+@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
+def test_subtracted_histograms_equal_a_fresh_count(monkeypatch, relative, min_leaf):
+    grow = dtree._grow
+    visited = []
+
+    def checked_grow(groups, histograms, params, label_order):
+        fresh = [[Counter(row[attribute] for row in rows) for rows in groups]
+                 for attribute in range(len(histograms))]
+        # as dicts: Counter equality would let zero-count entries through
+        assert [[dict(h) for h in per_label] for per_label in histograms] == \
+            [[dict(h) for h in per_label] for per_label in fresh]
+        visited.append(groups)
+        return grow(groups, histograms, params, label_order)
+
+    monkeypatch.setattr(dtree, "_grow", checked_grow)
+    params = TreeParams(min_leaf=min_leaf, pruning=False)
+    for seed in range(4):
+        tree = train(_examples_of(_seeded_dataset(300 + seed, 150, relative)), params)
+        assert count_nodes(tree) == len(visited) and count_nodes(tree) > 5
+        visited.clear()
+    tree = train(_lopsided_examples(40, 80, relative), params)
+    assert (tree.attribute, tree.left.class_counts[EVENT]) == (0, 0)
+    assert tree.left.total > tree.right.total
+    assert len(visited) == count_nodes(tree)

@@ -209,3 +209,14 @@ def test_read_dataset_csv_rejects_non_finite_counts(tmp_path, row):
     path.write_text("lemma,total,C-1\nmap,2,0\n" + row + "\n")
     with pytest.raises(ValueError, match="non-finite count for lemma 'war'"):
         read_dataset_csv(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lemma,total,C-1,C-1\nwar,4,3,3\n", "duplicate cue ids in dataset: C-1"),
+    ("lemma,total,C-1\nmap,2,0\n,4,3\n", "empty lemma"),
+], ids=["duplicate-cue", "empty-lemma"])
+def test_read_dataset_csv_rejects_malformed_keys(tmp_path, text, message):
+    path = tmp_path / "dataset.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_dataset_csv(str(path))
