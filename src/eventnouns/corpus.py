@@ -36,6 +36,15 @@ def coarse_tag(tag: str) -> str:
     return tag.split(":", 1)[0]
 
 
+def check_tag(tag: str) -> None:
+    """Reject a tag with an unknown coarse part or an empty refinement."""
+    coarse, sep, fine = tag.partition(":")
+    if coarse not in COARSE_TAGS:
+        raise ValueError(f"unknown coarse tag: {tag!r}")
+    if sep and not fine:
+        raise ValueError(f"empty tag refinement: {tag!r}")
+
+
 class CorpusParseError(ValueError):
     """A malformed corpus line. Carries the 1-based line number."""
 
@@ -57,11 +66,7 @@ class TaggedToken:
             raise ValueError("token lemma must be non-empty")
         if self.lemma != self.lemma.lower():
             raise ValueError(f"token lemma must be lowercase: {self.lemma!r}")
-        coarse, _, fine = self.tag.partition(":")
-        if coarse not in COARSE_TAGS:
-            raise ValueError(f"unknown coarse tag: {self.tag!r}")
-        if ":" in self.tag and not fine:
-            raise ValueError(f"empty tag refinement: {self.tag!r}")
+        check_tag(self.tag)
 
     @property
     def coarse(self) -> str:

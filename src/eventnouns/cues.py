@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .corpus import COARSE_TAGS, Sentence, coarse_tag
+from .corpus import Sentence, check_tag, coarse_tag
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -62,13 +62,12 @@ class TokenConstraint:
     repeat: Repeat = Repeat.ONE
 
     def __post_init__(self):
-        if self.surface_in is not None:
-            object.__setattr__(self, "surface_in",
-                               frozenset(s.lower() for s in self.surface_in))
-        if self.tag_in is not None:
-            for tag in self.tag_in:
-                if coarse_tag(tag) not in COARSE_TAGS:
-                    raise ValueError(f"unknown coarse tag in constraint: {tag!r}")
+        for name in ("lemma_in", "surface_in"):  # corpus lemmas are lowercase
+            values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, frozenset(v.lower() for v in values))
+        for tag in self.tag_in or ():
+            check_tag(tag)  # the check a corpus token's tag passes
         if self.lemma_in is not None and any(" " in entry for entry in self.lemma_in):
             # multi-token literals only make sense for a plain lemma slot
             if self.repeat is not Repeat.ONE:
@@ -159,7 +158,6 @@ class CueSet:
 class CueHit:
     cue_id: str
     lemma: str
-    sentence_index: int
     token_index: int
 
 
@@ -318,7 +316,6 @@ def _match_from(elements, ei: int, ti: int, masks, tokens, last_noun: bool,
 
 
 def match_sentence(sentence: Sentence, cue_set: CueSet, *,
-                   sentence_index: int = 0,
                    target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
     """Match every enabled rule against one sentence.
 
@@ -354,8 +351,7 @@ def match_sentence(sentence: Sentence, cue_set: CueSet, *,
         for start in starts:
             bound = _match_from(elements, 0, start, masks, tokens, last_noun, -1)
             if bound >= 0:
-                hits.append(CueHit(rule_id, tokens[bound].lemma,
-                                   sentence_index, bound))
+                hits.append(CueHit(rule_id, tokens[bound].lemma, bound))
     return hits
 
 

@@ -10,7 +10,6 @@ oracle for the counts the extractor must recover.
 
 from __future__ import annotations
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence, TaggedToken, serialize_corpus
 from .cues import NEGATIVE, POSITIVE, CueSet, builtin_cue_set, match_sentence
-from .features import EVENT, NON_EVENT, normalize_label
+from .features import EVENT, NON_EVENT, normalize_label, read_csv_rows, write_csv
 
 # --- gold standards ---------------------------------------------------------
 
@@ -92,29 +91,23 @@ def load_gold(path: str, *, language: str = "") -> GoldStandard:
     """Read a ``lemma,label`` CSV; labels are case-insensitive, duplicates
     are rejected, lemmas are lowercased."""
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row_number, row in enumerate(reader, start=1):
-            if not row or (row_number == 1 and row == ["lemma", "label"]):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{row_number}: expected 2 fields, "
-                                 f"got {len(row)}")
-            lemma = row[0].strip().lower()
-            if not lemma:
-                raise ValueError(f"{path}:{row_number}: empty lemma")
-            if lemma in entries:
-                raise ValueError(f"{path}:{row_number}: duplicate lemma {lemma!r}")
-            entries[lemma] = normalize_label(row[1])
+    for row_number, row in read_csv_rows(path):
+        if row_number == 1 and row == ["lemma", "label"]:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}:{row_number}: expected 2 fields, "
+                             f"got {len(row)}")
+        lemma = row[0].strip().lower()
+        if not lemma:
+            raise ValueError(f"{path}:{row_number}: empty lemma")
+        if lemma in entries:
+            raise ValueError(f"{path}:{row_number}: duplicate lemma {lemma!r}")
+        entries[lemma] = normalize_label(row[1])
     return GoldStandard(language, entries)
 
 
 def write_gold_csv(gold: GoldStandard, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lemma", "label"])
-        for lemma in sorted(gold.entries):
-            writer.writerow([lemma, gold.entries[lemma]])
+    write_csv(path, ["lemma", "label"], sorted(gold.entries.items()))
 
 
 # --- sentence templates -----------------------------------------------------
@@ -375,9 +368,5 @@ def draw_log_counts(log: Iterable[DrawRecord]) -> tuple[dict[str, Counter], dict
 
 
 def write_draw_log_csv(log: Sequence[DrawRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lemma", "label", "sentence_index", "cue_id"])
-        for record in log:
-            writer.writerow([record.lemma, record.label,
-                             record.sentence_index, record.cue_id or ""])
+    write_csv(path, ["lemma", "label", "sentence_index", "cue_id"],
+              ([r.lemma, r.label, r.sentence_index, r.cue_id or ""] for r in log))

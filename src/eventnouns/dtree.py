@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
-from .features import FeatureVector, NON_EVENT
+from .features import FeatureVector, LABELS, NON_EVENT
 
 # gains and gain-ratio differences below this are treated as zero so that
 # float noise cannot create degenerate splits or unstable tie-breaks
@@ -349,10 +349,19 @@ def tree_to_dict(node: TreeNode) -> dict:
 
 
 def tree_from_dict(data: dict) -> TreeNode:
-    counts = {str(label): int(c) for label, c in data["counts"].items()}
+    """Rebuild a tree from :func:`tree_to_dict` output, checking each node."""
+    counts = dict(data["counts"])
+    # `type(c) is int` turns away floats and bools, so the sum is safe
+    if any(label not in LABELS or type(c) is not int or c < 0
+           for label, c in counts.items()) or sum(counts.values()) == 0:
+        raise ValueError(f"bad model node counts: {counts!r}")
     if "attribute" not in data:
         return TreeNode(counts)
-    return TreeNode(counts, int(data["attribute"]), float(data["threshold"]),
+    attribute, threshold = data["attribute"], float(data["threshold"])
+    if type(attribute) is not int or attribute < 0 or not math.isfinite(threshold):
+        raise ValueError(f"bad model split: attribute {attribute!r}, "
+                         f"threshold {threshold!r}")
+    return TreeNode(counts, attribute, threshold,
                     tree_from_dict(data["left"]), tree_from_dict(data["right"]))
 
 
@@ -362,12 +371,7 @@ def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
         "format": "eventnouns-tree/1",
         "language": language,
         "cue_ids": list(cue_ids),
-        "params": {
-            "min_leaf": params.min_leaf,
-            "confidence_factor": params.confidence_factor,
-            "pruning": params.pruning,
-            "laplace_confidence": params.laplace_confidence,
-        },
+        "params": asdict(params),
         "tree": tree_to_dict(tree),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -382,10 +386,7 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     if payload.get("format") != "eventnouns-tree/1":
         raise ValueError(f"{path}: not an eventnouns tree model")
     raw = payload["params"]
-    params = TreeParams(min_leaf=raw["min_leaf"],
-                        confidence_factor=raw["confidence_factor"],
-                        pruning=raw["pruning"],
-                        laplace_confidence=raw["laplace_confidence"])
+    params = TreeParams(**{field.name: raw[field.name] for field in fields(TreeParams)})
     return (tree_from_dict(payload["tree"]), tuple(payload["cue_ids"]),
             params, payload.get("language", ""))
 

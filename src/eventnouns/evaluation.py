@@ -9,13 +9,12 @@ the output lexicon into an accepted part and a part needing review.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .dtree import LabeledExample, Prediction, TreeParams, classify, train
-from .features import Dataset, EVENT
+from .features import Dataset, EVENT, normalize_label, read_csv_rows, write_csv
 
 DEFAULT_THRESHOLDS = tuple(i / 20 for i in range(21))
 
@@ -162,54 +161,53 @@ def format_report(report: EvalReport, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PREDICTIONS_HEADER = ["lemma", "gold", "predicted", "confidence"]
+
+
 def write_predictions_csv(predictions: Sequence[Prediction], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lemma", "gold", "predicted", "confidence"])
-        for p in predictions:
-            writer.writerow([p.lemma, p.gold if p.gold is not None else "",
-                             p.predicted, str(p.confidence)])
+    write_csv(path, _PREDICTIONS_HEADER, (
+        [p.lemma, p.gold if p.gold is not None else "", p.predicted, str(p.confidence)]
+        for p in predictions))
 
 
 def read_predictions_csv(path: str) -> list[Prediction]:
+    """Read a predictions file; labels are case-insensitive, the gold cell
+    may be empty and the confidence must lie in [0, 1]."""
+    rows = read_csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header != _PREDICTIONS_HEADER:
+        raise ValueError(f"{path}: bad predictions header {header!r}")
     predictions = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["lemma", "gold", "predicted", "confidence"]:
-            raise ValueError(f"{path}: bad predictions header {header!r}")
-        for row in reader:
-            if not row:
-                continue
+    for row_number, row in rows:
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
             lemma, gold, predicted, confidence = row
-            predictions.append(Prediction(lemma, predicted, float(confidence),
-                                          gold or None))
+            value = float(confidence)
+            if not 0 <= value <= 1:  # NaN fails too
+                raise ValueError(f"confidence {confidence!r} is not in [0, 1]")
+            predictions.append(Prediction(lemma, normalize_label(predicted), value,
+                                          normalize_label(gold) if gold else None))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row_number}: {exc}") from None
     return predictions
 
 
 def write_curve_csv(points: Sequence[CurvePoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "retained"])
-        for point in points:
-            precision = "NA" if point.precision is None else str(point.precision)
-            writer.writerow([str(point.threshold), precision, point.retained])
+    write_csv(path, ["threshold", "precision", "retained"], (
+        [str(point.threshold),
+         "NA" if point.precision is None else str(point.precision), point.retained]
+        for point in points))
 
 
 def write_confusion_csv(confusion: dict[str, dict[str, int]], path: str) -> None:
     labels = sorted(confusion)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gold\\predicted", *labels])
-        for gold in labels:
-            writer.writerow([gold, *(confusion[gold][p] for p in labels)])
+    write_csv(path, ["gold\\predicted", *labels],
+              ([gold, *(confusion[gold][p] for p in labels)] for gold in labels))
 
 
 def write_lexicon_csv(predictions: Sequence[Prediction], path: str) -> None:
     """Production output: lemma,predicted,confidence sorted by confidence."""
     ordered = sorted(predictions, key=lambda p: (-p.confidence, p.lemma))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lemma", "predicted", "confidence"])
-        for p in ordered:
-            writer.writerow([p.lemma, p.predicted, str(p.confidence)])
+    write_csv(path, ["lemma", "predicted", "confidence"],
+              ([p.lemma, p.predicted, str(p.confidence)] for p in ordered))

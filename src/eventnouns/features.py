@@ -4,6 +4,9 @@ One vector summarizes all occurrences of a lemma: how many times each cue
 fired around it, plus how often the lemma occurred as a noun at all. Zero
 counts are meaningful and kept; lemmas never seen in the corpus get
 all-zero vectors so that silent words still take part in evaluation.
+
+Every CSV file of the pipeline is read and written here, by
+:func:`read_csv_rows` and :func:`write_csv`, which own the format.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Sentence
 from .cues import CueSet, TARGET_FIRST_NOUN, match_sentence
@@ -105,13 +108,11 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
     position = {cue_id: i for i, cue_id in enumerate(cue_set.cue_ids)}
     counts = {lemma: [0] * cue_set.n for lemma in targets}
     totals = dict.fromkeys(targets, 0)
-    for sentence_index, sentence in enumerate(corpus):
+    for sentence in corpus:
         for token in sentence:
             if token.lemma in totals and token.coarse == "NOUN":
                 totals[token.lemma] += 1
-        for hit in match_sentence(sentence, cue_set,
-                                  sentence_index=sentence_index,
-                                  target_policy=target_policy):
+        for hit in match_sentence(sentence, cue_set, target_policy=target_policy):
             if hit.lemma in counts:
                 counts[hit.lemma][position[hit.cue_id]] += 1
     vectors = tuple(
@@ -155,7 +156,23 @@ def attach_labels(dataset: Dataset, gold: Mapping[str, str]) -> Dataset:
     return Dataset(dataset.cue_ids, vectors, labels)
 
 
-# --- CSV round trip ---------------------------------------------------------
+# --- CSV files -------------------------------------------------------------
+
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row_number, row in enumerate(csv.reader(fh), start=1):
+            if row:
+                yield row_number, row
+
 
 def _format_number(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
@@ -172,44 +189,35 @@ def _parse_number(text: str) -> float:
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     """Write ``lemma,total,<cue ids...>[,label]`` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["lemma", "total", *dataset.cue_ids]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for v in dataset.vectors:
-            row = [v.lemma, _format_number(v.total_occurrences),
-                   *(_format_number(c) for c in v.counts)]
-            if dataset.labels is not None:
-                row.append(dataset.labels[v.lemma])
-            writer.writerow(row)
+    labeled = dataset.labels is not None
+    header = ["lemma", "total", *dataset.cue_ids, *(["label"] if labeled else [])]
+    write_csv(path, header, (
+        [v.lemma, _format_number(v.total_occurrences),
+         *(_format_number(c) for c in v.counts),
+         *([dataset.labels[v.lemma]] if labeled else [])]
+        for v in dataset.vectors))
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset file") from None
-        if header[:2] != ["lemma", "total"]:
-            raise ValueError(f"{path}: bad dataset header {header[:2]!r}")
-        labeled = header[-1] == "label"
-        cue_ids = tuple(header[2:-1] if labeled else header[2:])
-        vectors = []
-        labels: dict[str, str] = {}
-        for row in reader:
-            if not row:
-                continue
-            expected = 2 + len(cue_ids) + (1 if labeled else 0)
-            if len(row) != expected:
-                raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} "
-                                 f"fields, expected {expected}")
-            lemma = row[0]
-            total = _parse_number(row[1])
-            counts = tuple(_parse_number(c) for c in row[2:2 + len(cue_ids)])
-            vectors.append(FeatureVector(lemma, counts, total))
-            if labeled:
-                labels[lemma] = normalize_label(row[-1])
+    rows = read_csv_rows(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ValueError(f"{path}: empty dataset file")
+    if header[:2] != ["lemma", "total"]:
+        raise ValueError(f"{path}: bad dataset header {header[:2]!r}")
+    labeled = header[-1] == "label"
+    cue_ids = tuple(header[2:-1] if labeled else header[2:])
+    expected = len(header)
+    vectors = []
+    labels: dict[str, str] = {}
+    for _, row in rows:
+        if len(row) != expected:
+            raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} "
+                             f"fields, expected {expected}")
+        lemma = row[0]
+        total = _parse_number(row[1])
+        counts = tuple(_parse_number(c) for c in row[2:2 + len(cue_ids)])
+        vectors.append(FeatureVector(lemma, counts, total))
+        if labeled:
+            labels[lemma] = normalize_label(row[-1])
     return Dataset(cue_ids, tuple(vectors), labels if labeled else None)

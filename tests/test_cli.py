@@ -1,9 +1,13 @@
 import csv
+import json
 import os
 
 import pytest
 
 from eventnouns.cli import main
+from eventnouns.data import load_gold, write_gold_csv
+from eventnouns.evaluation import read_predictions_csv, write_predictions_csv
+from eventnouns.features import read_dataset_csv, write_dataset_csv
 
 TINY_CORPUS = (
     "during\tduring\tADP\nthe\tthe\tDET\nwar\twar\tNOUN\n\n"
@@ -133,6 +137,51 @@ def test_full_pipeline_train_classify_evaluate(tmp_path, capsys):
     assert open(curve_out).readline().strip() == "threshold,precision,retained"
 
 
+def test_every_csv_file_has_one_format(tmp_path, capsys):
+    """Every CSV file the commands write is UTF-8 with CRLF row ends, and
+    each file that has a reader reads back to what was written."""
+    out = tmp_path / "out"
+    assert run(["synth", "--n-event", "20", "--n-non-event", "20",
+                "--seed", "4", "--out", str(out / "synth")]) == 0
+    gold = tmp_path / "gold_in.csv"  # an input, with a non-ASCII lemma
+    gold.write_text((out / "synth" / "gold.csv").read_text(encoding="utf-8")
+                    + "sequía,EVENT\n", encoding="utf-8")
+    dataset, model = out / "dataset.csv", tmp_path / "model.json"
+    assert run(["extract", "--corpus", str(out / "synth" / "corpus.tsv"),
+                "--gold", str(gold), "--out", str(dataset)]) == 0
+    assert run(["evaluate", "--dataset", str(dataset), "--k", "5", "--seed", "3",
+                "--out", str(out / "eval")]) == 0
+    assert run(["train", "--dataset", str(dataset), "--out", str(model)]) == 0
+    assert run(["classify", "--model", str(model), "--dataset", str(dataset),
+                "--out", str(out / "lexicon.csv")]) == 0
+    assert run(["curve", "--predictions", str(out / "eval" / "predictions.csv"),
+                "--out", str(out / "curve.csv")]) == 0
+
+    written = {p.relative_to(out).as_posix(): p for p in out.rglob("*.csv")}
+    assert sorted(written) == [
+        "curve.csv", "dataset.csv", "eval/accepted.csv", "eval/confusion.csv",
+        "eval/curve.csv", "eval/predictions.csv", "eval/to_review.csv",
+        "lexicon.csv", "synth/drawlog.csv", "synth/gold.csv"]
+    for name, path in written.items():
+        data = path.read_bytes()
+        data.decode("utf-8")
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), name
+    for name in ("dataset.csv", "eval/predictions.csv", "lexicon.csv"):
+        assert "sequía".encode("utf-8") in written[name].read_bytes(), name
+
+    round_trips = {
+        "synth/gold.csv": (load_gold, write_gold_csv),
+        "dataset.csv": (read_dataset_csv, write_dataset_csv),
+        "eval/predictions.csv": (read_predictions_csv, write_predictions_csv),
+        "eval/accepted.csv": (read_predictions_csv, write_predictions_csv),
+        "eval/to_review.csv": (read_predictions_csv, write_predictions_csv),
+    }
+    for name, (read, write) in round_trips.items():
+        copy = tmp_path / "copy.csv"
+        write(read(str(written[name])), str(copy))
+        assert copy.read_bytes() == written[name].read_bytes(), name
+
+
 def test_classify_dimension_mismatch(tmp_path, capsys):
     synth_dir, dataset = full_pipeline(tmp_path, capsys)
     model = str(tmp_path / "model.json")
@@ -173,6 +222,66 @@ def test_classify_rejects_permuted_cue_columns(tmp_path, capsys):
     assert code == 1
     assert "cue mismatch" in capsys.readouterr().err
     assert not lexicon.exists()
+
+
+def _edit_every_node(tree, edit):
+    edit(tree)
+    for side in ("left", "right"):
+        if side in tree:
+            _edit_every_node(tree[side], edit)
+
+
+def _rename_event(node):
+    node["counts"] = {("FOO" if k == "EVENT" else k): c for k, c in node["counts"].items()}
+
+
+def _first_leaf(tree):
+    while "left" in tree:
+        tree = tree["left"]
+    return tree
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tree: _edit_every_node(tree, _rename_event),
+    lambda tree: tree.update(attribute=-1),
+    lambda tree: _first_leaf(tree).update(counts={"EVENT": -5, "NON_EVENT": 2}),
+    lambda tree: _first_leaf(tree).update(counts={"EVENT": 0, "NON_EVENT": 0}),
+    lambda tree: tree.update(threshold=float("nan")),
+], ids=["unknown-label", "negative-attribute", "negative-count", "zero-counts",
+        "nan-threshold"])
+def test_classify_rejects_malformed_model(tmp_path, capsys, edit):
+    synth_dir, dataset = full_pipeline(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    assert "attribute" in payload["tree"]
+    edit(payload["tree"])
+    model.write_text(json.dumps(payload))
+    lexicon = tmp_path / "lexicon.csv"
+    capsys.readouterr()
+    assert run(["classify", "--model", str(model), "--dataset", dataset,
+                "--out", str(lexicon)]) == 1
+    assert "bad model" in capsys.readouterr().err
+    assert not lexicon.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,EVENT,EVENT,nan", "not in [0, 1]"),
+    ("b,EVENT,EVENT,2.5", "not in [0, 1]"),
+    ("c,FOO,EVENT,0.9", "unknown label: 'FOO'"),
+    ("d,NON_EVENT,BAR,0.9", "unknown label: 'BAR'"),
+    ("e,EVENT,EVENT", "expected 4 fields, got 3"),
+], ids=["nan-confidence", "confidence-above-1", "bad-gold", "bad-predicted",
+        "3-fields"])
+def test_curve_rejects_malformed_predictions(tmp_path, capsys, row, message):
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("lemma,gold,predicted,confidence\n"
+                           "z,EVENT,EVENT,0.5\n" + row + "\n", encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    assert run(["curve", "--predictions", str(predictions), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{predictions}:3: " in err and message in err
+    assert not out.exists()
 
 
 LABELED_DATASET = ("lemma,total,X-1,label\n"

@@ -61,21 +61,21 @@ def test_language_case_insensitive():
 
 def test_es1_matches_durante_pp():
     s = sent(("durante", "ADP"), ("la", "DET"), ("guerra", "NOUN"))
-    assert hits_of(s, builtin_cue_set("ES")) == [CueHit("ES-1", "guerra", 0, 2)]
+    assert hits_of(s, builtin_cue_set("ES")) == [CueHit("ES-1", "guerra", 2)]
 
 
 def test_first_noun_policy_binds_compound_modifier():
     # the matcher cannot know "world" is not the head: shallow-pattern noise
     s = sent(("during", "ADP"), ("the", "DET"), ("first", "ADJ"),
              ("world", "NOUN"), ("war", "NOUN"))
-    assert hits_of(s, builtin_cue_set("EN")) == [CueHit("EN-1", "world", 0, 3)]
+    assert hits_of(s, builtin_cue_set("EN")) == [CueHit("EN-1", "world", 3)]
 
 
 def test_last_noun_policy_binds_compound_head():
     s = sent(("during", "ADP"), ("the", "DET"), ("first", "ADJ"),
              ("world", "NOUN"), ("war", "NOUN"))
     hits = hits_of(s, builtin_cue_set("EN"), target_policy=TARGET_LAST_NOUN)
-    assert hits == [CueHit("EN-1", "war", 0, 4)]
+    assert hits == [CueHit("EN-1", "war", 4)]
 
 
 def test_incomplete_pattern_yields_nothing():
@@ -93,16 +93,16 @@ def test_matching_is_deterministic():
 def test_multiword_lemma_take_place():
     s = sent(("the", "DET"), ("war", "NOUN"), ("took", "VERB", "take"),
              ("place", "NOUN"))
-    assert hits_of(s, builtin_cue_set("EN")) == [CueHit("EN-4", "war", 0, 1)]
+    assert hits_of(s, builtin_cue_set("EN")) == [CueHit("EN-4", "war", 1)]
 
 
 def test_multiword_complex_preposition():
     s = sent(("in", "ADP"), ("front", "NOUN"), ("of", "ADP"),
              ("the", "DET"), ("house", "NOUN"))
     hits = hits_of(s, builtin_cue_set("EN"))
-    assert CueHit("EN-16", "house", 0, 4) in hits
+    assert CueHit("EN-16", "house", 4) in hits
     # "front of" also looks like a trailing of-PP around the filler noun
-    assert CueHit("EN-15", "front", 0, 1) in hits
+    assert CueHit("EN-15", "front", 1) in hits
 
 
 def test_en2_requires_adposition_tag():
@@ -117,7 +117,7 @@ def test_disabled_rule_reports_no_hits():
     s = sent(("nuclear", "ADJ"), ("war", "NOUN"))
     cs = builtin_cue_set("EN")
     assert hits_of(s, cs) == []
-    assert hits_of(s, cs.with_enabled("EN-11", True)) == [CueHit("EN-11", "war", 0, 1)]
+    assert hits_of(s, cs.with_enabled("EN-11", True)) == [CueHit("EN-11", "war", 1)]
 
 
 def test_disabling_removes_exactly_its_hits():
@@ -134,7 +134,7 @@ def test_same_rule_rematches_at_later_starts():
     s = sent(("se", "PRON"), ("celebra", "VERB", "celebrar"),
              ("la", "DET"), ("fiesta", "NOUN"))
     hits = hits_of(s, builtin_cue_set("ES"))
-    assert hits == [CueHit("ES-7", "fiesta", 0, 3), CueHit("ES-7", "fiesta", 0, 3)]
+    assert hits == [CueHit("ES-7", "fiesta", 3), CueHit("ES-7", "fiesta", 3)]
 
 
 def test_matching_never_crosses_sentence_boundary():
@@ -243,6 +243,26 @@ def test_constraint_validation():
         TokenConstraint(lemma_in=frozenset({"take place"}), repeat=Repeat.STAR)
 
 
+def test_lemma_constraint_is_lowercased_like_corpus_lemmas():
+    assert TokenConstraint(lemma_in=frozenset({"During", "Take Place"})).lemma_in \
+        == frozenset({"during", "take place"})
+    cs = load_cue_set(["X-1\tpositive\tlemma=During TARGET",
+                       "X-2\tpositive\tlemma=TAKE+Place TARGET"], "EN")
+    corpus = "During\tDuring\tADP\nwar\twar\tNOUN\ntake\ttake\tVERB\n" \
+             "place\tplace\tNOUN\nwar\twar\tNOUN\n"
+    sentence = next(parse_tagged_corpus(corpus.splitlines()))
+    assert hits_of(sentence, cs) == [CueHit("X-1", "war", 1), CueHit("X-2", "war", 4)]
+
+
+@pytest.mark.parametrize("pattern", ["tag=VERB: TARGET", "lemma=run,tag=VERB: TARGET",
+                                     "tag=DET|NOUN: TARGET"])
+def test_tag_with_empty_refinement_is_rejected(pattern):
+    with pytest.raises(ValueError, match="empty tag refinement"):
+        load_cue_set([f"X-1\tpositive\t{pattern}"], "EN")
+    with pytest.raises(ValueError, match="empty tag refinement"):
+        TaggedToken("run", "run", "VERB:")  # the same check as a corpus token
+
+
 def test_star_repetition_is_bounded():
     text = "X-1\tpositive\tlemma=during tag=ADJ* TARGET\n"
     cs = load_cue_set(text.splitlines(), "EN")
@@ -329,8 +349,7 @@ def _reference_match_rule_at(rule, tokens, start, target_policy):
     return bound if ok else None
 
 
-def _reference_match_sentence(sentence, cue_set, *, sentence_index=0,
-                              target_policy=TARGET_FIRST_NOUN):
+def _reference_match_sentence(sentence, cue_set, *, target_policy=TARGET_FIRST_NOUN):
     """The backtracking matcher: every enabled rule at every start, tried
     element by element with ``_reference_holds``."""
     tokens = sentence.tokens
@@ -341,18 +360,15 @@ def _reference_match_sentence(sentence, cue_set, *, sentence_index=0,
         for start in range(len(tokens)):
             bound = _reference_match_rule_at(rule, tokens, start, target_policy)
             if bound is not None:
-                hits.append(CueHit(rule.id, tokens[bound].lemma,
-                                   sentence_index, bound))
+                hits.append(CueHit(rule.id, tokens[bound].lemma, bound))
     return hits
 
 
 def assert_same_hits(sentences, cue_set):
     for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
-        for index, sentence in enumerate(sentences):
-            want = _reference_match_sentence(sentence, cue_set, sentence_index=index,
-                                             target_policy=policy)
-            got = match_sentence(sentence, cue_set, sentence_index=index,
-                                 target_policy=policy)
+        for sentence in sentences:
+            want = _reference_match_sentence(sentence, cue_set, target_policy=policy)
+            got = match_sentence(sentence, cue_set, target_policy=policy)
             assert got == want, (cue_set.cue_ids, policy, sentence)
 
 

@@ -376,6 +376,41 @@ def test_tree_dict_roundtrip():
     assert tree_from_dict(tree_to_dict(tree)) == tree
 
 
+def _split_tree():
+    return {"counts": {EVENT: 3, NON_EVENT: 2}, "attribute": 0, "threshold": 0.5,
+            "left": {"counts": {NON_EVENT: 2}}, "right": {"counts": {EVENT: 3}}}
+
+
+def _set(key, value, node="root"):
+    def edit(tree):
+        (tree if node == "root" else tree[node])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("counts", {"FOO": 3, NON_EVENT: 2}),
+    _set("counts", {EVENT: -5, NON_EVENT: 2}, node="left"),
+    _set("counts", {EVENT: 1.5, NON_EVENT: 2}, node="left"),
+    _set("counts", {EVENT: True}, node="right"),
+    _set("counts", {EVENT: "3"}, node="right"),
+    _set("counts", {EVENT: 0, NON_EVENT: 0}, node="right"),
+    _set("counts", {}, node="right"),
+    _set("attribute", -1),
+    _set("attribute", 0.0),
+    _set("attribute", True),
+    _set("threshold", math.nan),
+    _set("threshold", math.inf),
+], ids=["unknown-label", "negative-count", "float-count", "bool-count",
+        "text-count", "zero-counts", "no-counts", "negative-attribute", "float-attribute",
+        "bool-attribute", "nan-threshold", "inf-threshold"])
+def test_tree_from_dict_rejects_malformed_nodes(edit):
+    tree = _split_tree()
+    assert tree_from_dict(tree).attribute == 0  # the unedited tree loads
+    edit(tree)
+    with pytest.raises(ValueError, match="bad model"):
+        tree_from_dict(tree)
+
+
 def test_model_file_roundtrip(tmp_path):
     examples = [ex([0, 0], NON_EVENT), ex([1, 2], EVENT),
                 ex([2, 1], EVENT), ex([0, 1], NON_EVENT)]

@@ -257,3 +257,36 @@ def test_read_predictions_csv_rejects_bad_header(tmp_path):
     path.write_text("lemma,predicted,confidence\nwar,EVENT,1.0\n")
     with pytest.raises(ValueError):
         read_predictions_csv(str(path))
+
+
+PREDICTIONS_HEADER = "lemma,gold,predicted,confidence\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,EVENT,EVENT", "expected 4 fields, got 3"),
+    ("a,EVENT,EVENT,0.5,x", "expected 4 fields, got 5"),
+    ("a,FOO,EVENT,0.9", "unknown label: 'FOO'"),
+    ("a,NON_EVENT,BAR,0.9", "unknown label: 'BAR'"),
+    ("a,EVENT,,0.9", "unknown label: ''"),
+    ("a,EVENT,EVENT,nan", "not in [0, 1]"),
+    ("a,EVENT,EVENT,2.5", "not in [0, 1]"),
+    ("a,EVENT,EVENT,-0.1", "not in [0, 1]"),
+    ("a,EVENT,EVENT,high", "could not convert"),
+], ids=["3-fields", "5-fields", "bad-gold", "bad-predicted", "empty-predicted",
+        "nan-confidence", "confidence-above-1", "negative-confidence",
+        "text-confidence"])
+def test_read_predictions_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "preds.csv"
+    # the blank row still counts, so the bad row is row 4
+    path.write_text(PREDICTIONS_HEADER + "b,EVENT,EVENT,1.0\n\n" + row + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_predictions_csv(str(path))
+    assert str(exc.value).startswith(f"{path}:4: ")
+    assert message in str(exc.value)
+
+
+def test_read_predictions_csv_normalizes_labels(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text(PREDICTIONS_HEADER + "a,event,Non_Event,0\nb,,EVENT,1\n")
+    assert read_predictions_csv(str(path)) == [
+        Prediction("a", NON_EVENT, 0.0, EVENT), Prediction("b", EVENT, 1.0, None)]
