@@ -8,7 +8,10 @@ attribute index, the lowest threshold, and the NON_EVENT class.
 Growth keeps a ``value -> count`` histogram per attribute and label for
 each node, counting only the smaller child of a split and subtracting it
 from the parent's for the larger, so that a histogram always holds the
-node's counts only, with no zero entries.
+node's counts only, with no zero entries. Split search is done once per
+node: the node's two class totals and their entropy are computed once,
+and each attribute's scan walks its distinct values with two integer left
+counts, one per label, scoring each boundary with a two-count entropy.
 """
 
 from __future__ import annotations
@@ -102,43 +105,72 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     values. A candidate qualifies when its information gain is positive and
     both sides keep at least ``min_leaf`` examples; among qualifying
     candidates the one with the highest gain ratio wins, lowest threshold
-    on ties. Returns ``(threshold, gain, gain_ratio)``.
+    on ties. Returns ``(threshold, gain, gain_ratio)``. Every label must be
+    EVENT or NON_EVENT.
     """
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
-    return _best_threshold(
-        [Counter(ex.vector.counts[attribute] for ex in examples if ex.label == label)
-         for label in sorted({ex.label for ex in examples})], min_leaf)
+    _label_order(examples)
+    histograms = [Counter(ex.vector.counts[attribute] for ex in examples
+                          if ex.label == label) for label in LABELS]
+    totals = [sum(histogram.values()) for histogram in histograms]
+    return _best_threshold(histograms, totals, _entropy2(*totals), min_leaf)
 
 
-def _best_threshold(histograms: Sequence[Mapping[float, int]],
+def _label_order(examples: Iterable[LabeledExample]) -> list[str]:
+    """The sorted labels of ``examples``, each of which must be in LABELS."""
+    labels = {ex.label for ex in examples}
+    unknown = sorted(labels.difference(LABELS))
+    if unknown:
+        raise ValueError(f"unknown label: {unknown[0]!r} (expected EVENT or NON_EVENT)")
+    return sorted(labels)
+
+
+def _entropy2(a: int, b: int) -> float:
+    """:func:`entropy` of the two counts ``[a, b]``, the same float."""
+    total = a + b
+    result = 0.0
+    if a:
+        p = a / total
+        result -= p * math.log2(p)
+    if b:
+        p = b / total
+        result -= p * math.log2(p)
+    return result
+
+
+def _best_threshold(histograms: Sequence[Mapping[float, int]], totals: Sequence[int],
+                    total_entropy: float,
                     min_leaf: int) -> tuple[float, float, float] | None:
     """:func:`best_split` over one ``value -> count`` histogram per label.
 
-    The scan visits each distinct value once, not each example, and keeps
-    integer per-label counts of the examples left of it. Labels enter the
-    entropies in label order, not in the order a scan over the sorted
-    examples would meet them, but there are only two labels: a sum of two
-    entropy terms is the same float in either order. So every gain and
-    ratio is bit-identical to the per-example scan's.
+    There are exactly two labels; ``totals`` are their counts at the node,
+    and ``total_entropy`` is ``entropy(totals)``, both computed once per
+    node by the caller. The scan visits each distinct value once, not each
+    example, and keeps the two integer counts of the examples left of it.
+    Labels enter the entropies in label order, not in the order a scan
+    over the sorted examples would meet them, but a sum of two entropy
+    terms is the same float in either order. So every gain and ratio is
+    bit-identical to the per-example scan's.
     """
-    totals = [sum(histogram.values()) for histogram in histograms]
-    n = sum(totals)
-    total_entropy = entropy(totals)
-    values = sorted(set().union(*histograms))
-    left = [0] * len(histograms)
+    first, second = histograms
+    values = sorted(first.keys() | second.keys())
+    if len(values) < 2:
+        return None
+    total0, total1 = totals
+    n = total0 + total1
+    left0 = left1 = 0
     best: tuple[float, float, float] | None = None
     for value, next_value in zip(values, values[1:]):
-        for i, histogram in enumerate(histograms):
-            left[i] += histogram.get(value, 0)
-        n_left = sum(left)
+        left0 += first.get(value, 0)
+        left1 += second.get(value, 0)
+        n_left = left0 + left1
         n_right = n - n_left
         if n_left < min_leaf or n_right < min_leaf:
             continue
-        right = [total - count for total, count in zip(totals, left)]
         gain = (total_entropy
-                - (n_left / n) * entropy(left)
-                - (n_right / n) * entropy(right))
+                - (n_left / n) * _entropy2(left0, left1)
+                - (n_right / n) * _entropy2(total0 - left0, total1 - left1))
         if gain <= _EPS:
             continue
         p_left = n_left / n
@@ -192,7 +224,8 @@ def train(examples: Sequence[LabeledExample],
     nodes where no attribute offers a qualifying split. Splits maximize
     gain ratio; ties go to the lowest attribute index, then the lowest
     threshold. Pruning replaces a subtree with a leaf whenever the leaf's
-    pessimistic error estimate does not exceed the subtree's.
+    pessimistic error estimate does not exceed the subtree's. Every label
+    must be EVENT or NON_EVENT, as a model file requires.
     """
     params = params or TreeParams()
     examples = list(examples)
@@ -203,7 +236,7 @@ def train(examples: Sequence[LabeledExample],
         if len(ex.vector.counts) != dim:
             raise ValueError(
                 f"inconsistent dimensionality: {len(ex.vector.counts)} vs {dim}")
-    label_order = sorted({ex.label for ex in examples})
+    label_order = _label_order(examples)
     groups = [[ex.vector.counts for ex in examples if ex.label == label]
               for label in label_order]
     node = _grow(groups, _histograms(groups, dim), params, label_order)
@@ -233,7 +266,9 @@ def _grow(groups, histograms, params, label_order) -> TreeNode:
     n = sum(counts.values())
     if max(counts.values()) == n or n < 2 * params.min_leaf:
         return TreeNode(counts)
-    best = _best_node_split(histograms, params.min_leaf)
+    # not pure, so both labels are here: exactly two groups and totals
+    totals = list(counts.values())
+    best = _best_node_split(histograms, totals, _entropy2(*totals), params.min_leaf)
     if best is None:
         return TreeNode(counts)
     attribute, threshold = best
@@ -241,9 +276,10 @@ def _grow(groups, histograms, params, label_order) -> TreeNode:
     right = [[row for row in rows if row[attribute] > threshold] for rows in groups]
     left_is_smaller = 2 * sum(map(len, left)) <= n
     smaller = _histograms(left if left_is_smaller else right, len(histograms))
-    # Counter's `-` drops the entries that fall to zero; a zero-count value
-    # left behind would add a boundary that moves the midpoint thresholds
-    larger = [tuple(p - s for p, s in zip(parent, small))
+    # drop the entries that fall to zero; a zero-count value left behind
+    # would add a boundary that moves the midpoint thresholds
+    larger = [tuple({v: d for v, c in p.items() if (d := c - s.get(v, 0))}
+                    for p, s in zip(parent, small))
               for parent, small in zip(histograms, smaller)]
     left_histograms, right_histograms = \
         (smaller, larger) if left_is_smaller else (larger, smaller)
@@ -252,14 +288,15 @@ def _grow(groups, histograms, params, label_order) -> TreeNode:
                     _grow(right, right_histograms, params, label_order))
 
 
-def _best_node_split(histograms, min_leaf) -> tuple[int, float] | None:
+def _best_node_split(histograms, totals, total_entropy,
+                     min_leaf) -> tuple[int, float] | None:
     """``(attribute, threshold)`` of the best split over all attributes.
 
     Ties go to the lowest attribute.
     """
     best = None  # (ratio, attribute, threshold)
     for attribute, per_label in enumerate(histograms):
-        candidate = _best_threshold(per_label, min_leaf)
+        candidate = _best_threshold(per_label, totals, total_entropy, min_leaf)
         if candidate is None:
             continue
         threshold, _, ratio = candidate
@@ -350,18 +387,20 @@ def tree_to_dict(node: TreeNode) -> dict:
 
 def tree_from_dict(data: dict) -> TreeNode:
     """Rebuild a tree from :func:`tree_to_dict` output, checking each node."""
-    counts = dict(data["counts"])
+    counts = data["counts"]
     # `type(c) is int` turns away floats and bools, so the sum is safe
-    if any(label not in LABELS or type(c) is not int or c < 0
-           for label, c in counts.items()) or sum(counts.values()) == 0:
+    if type(counts) is not dict or any(
+            label not in LABELS or type(c) is not int or c < 0
+            for label, c in counts.items()) or sum(counts.values()) == 0:
         raise ValueError(f"bad model node counts: {counts!r}")
     if "attribute" not in data:
-        return TreeNode(counts)
-    attribute, threshold = data["attribute"], float(data["threshold"])
-    if type(attribute) is not int or attribute < 0 or not math.isfinite(threshold):
+        return TreeNode(dict(counts))
+    attribute, threshold = data["attribute"], data["threshold"]
+    if (type(attribute) is not int or attribute < 0
+            or type(threshold) not in (int, float) or not math.isfinite(threshold)):
         raise ValueError(f"bad model split: attribute {attribute!r}, "
                          f"threshold {threshold!r}")
-    return TreeNode(counts, attribute, threshold,
+    return TreeNode(dict(counts), attribute, float(threshold),
                     tree_from_dict(data["left"]), tree_from_dict(data["right"]))
 
 
@@ -386,9 +425,20 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     if payload.get("format") != "eventnouns-tree/1":
         raise ValueError(f"{path}: not an eventnouns tree model")
     raw = payload["params"]
-    params = TreeParams(**{field.name: raw[field.name] for field in fields(TreeParams)})
-    return (tree_from_dict(payload["tree"]), tuple(payload["cue_ids"]),
-            params, payload.get("language", ""))
+    values = {}
+    for field in fields(TreeParams):
+        value = raw[field.name]
+        # a field's default has its JSON type: bool flags, an int min_leaf
+        # and a float confidence factor, so a bool is no number here
+        if type(value) is not type(field.default):
+            raise ValueError(f"{path}: bad model param {field.name}: {value!r}")
+        values[field.name] = value
+    params = TreeParams(**values)
+    tree = tree_from_dict(payload["tree"])
+    cue_ids = payload["cue_ids"]
+    if type(cue_ids) is not list or not all(type(c) is str for c in cue_ids):
+        raise ValueError(f"{path}: bad model cue ids: {cue_ids!r}")
+    return tree, tuple(cue_ids), params, payload.get("language", "")
 
 
 def format_tree(node: TreeNode, attribute_names: Sequence[str],

@@ -10,7 +10,7 @@ the output lexicon into an accepted part and a part needing review.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dtree import LabeledExample, Prediction, TreeParams, classify, train
@@ -73,21 +73,18 @@ def cross_validate(dataset: Dataset, params: TreeParams | None = None,
     if dataset.labels is None:
         raise ValueError("cross_validate needs a labeled dataset")
     folds = stratified_folds(dataset, k, seed)
+    examples = [LabeledExample(v, dataset.labels[v.lemma]) for v in dataset.vectors]
     pooled: list[Prediction] = []
     fold_accuracies = []
     for fold in folds:
         held_out = set(fold)
-        training = [LabeledExample(v, dataset.labels[v.lemma])
-                    for i, v in enumerate(dataset.vectors) if i not in held_out]
-        tree = train(training, params)
+        tree = train([e for i, e in enumerate(examples) if i not in held_out], params)
         correct = 0
         for i in fold:
-            vector = dataset.vectors[i]
-            gold = dataset.labels[vector.lemma]
-            prediction = replace(
-                classify(tree, vector, laplace=params.laplace_confidence),
-                gold=gold)
-            pooled.append(prediction)
+            vector, gold = examples[i].vector, examples[i].label
+            prediction = classify(tree, vector, laplace=params.laplace_confidence)
+            pooled.append(Prediction(vector.lemma, prediction.predicted,
+                                     prediction.confidence, gold))
             if prediction.predicted == gold:
                 correct += 1
         fold_accuracies.append(correct / len(fold))

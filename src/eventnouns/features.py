@@ -45,10 +45,12 @@ class FeatureVector:
         if not self.lemma:
             raise ValueError("feature vector with an empty lemma")
         counts = (*self.counts, self.total_occurrences)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count for lemma {self.lemma!r}")
-        if not all(c < math.inf for c in counts):  # NaN < inf is False too
-            raise ValueError(f"non-finite count for lemma {self.lemma!r}")
+        # one C-level pass for the common case; NaN < inf is False too
+        if not all(map(math.inf.__gt__, counts)) or min(counts) < 0:
+            if any(c < 0 for c in counts):
+                raise ValueError(f"negative count for lemma {self.lemma!r}")
+            if not all(c < math.inf for c in counts):
+                raise ValueError(f"non-finite count for lemma {self.lemma!r}")
         if self.total_occurrences == 0 and any(c != 0 for c in self.counts):
             # every cue hit is an occurrence, so a never-seen lemma has no hits
             raise ValueError(f"lemma {self.lemma!r} has cue counts but no occurrences")
@@ -215,9 +217,12 @@ def read_dataset_csv(path: str) -> Dataset:
             raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} "
                              f"fields, expected {expected}")
         lemma = row[0]
-        total = _parse_number(row[1])
-        counts = tuple(_parse_number(c) for c in row[2:2 + len(cue_ids)])
-        vectors.append(FeatureVector(lemma, counts, total))
+        cells = row[1:2 + len(cue_ids)]
+        try:
+            numbers = tuple(map(int, cells))
+        except ValueError:  # some cell is not an integer
+            numbers = tuple(map(_parse_number, cells))
+        vectors.append(FeatureVector(lemma, numbers[1:], numbers[0]))
         if labeled:
             labels[lemma] = normalize_label(row[-1])
     return Dataset(cue_ids, tuple(vectors), labels if labeled else None)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_full_pipeline_train_classify_evaluate(tmp_path, capsys):
     assert run(["train", "--dataset", dataset, "--lang", "EN",
                 "--out", model, "--tree-text", tree_text]) == 0
     assert os.path.exists(model)
-    assert "leaf" in open(tree_text).read()
+    assert "leaf" in Path(tree_text).read_text()
 
     lexicon = str(tmp_path / "lexicon.csv")
     assert run(["classify", "--model", model, "--dataset", dataset,
@@ -134,7 +135,7 @@ def test_full_pipeline_train_classify_evaluate(tmp_path, capsys):
     assert run(["curve", "--predictions",
                 os.path.join(out_dir, "predictions.csv"),
                 "--out", curve_out]) == 0
-    assert open(curve_out).readline().strip() == "threshold,precision,retained"
+    assert Path(curve_out).read_text().splitlines()[0] == "threshold,precision,retained"
 
 
 def test_every_csv_file_has_one_format(tmp_path, capsys):
@@ -242,20 +243,26 @@ def _first_leaf(tree):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda tree: _edit_every_node(tree, _rename_event),
-    lambda tree: tree.update(attribute=-1),
-    lambda tree: _first_leaf(tree).update(counts={"EVENT": -5, "NON_EVENT": 2}),
-    lambda tree: _first_leaf(tree).update(counts={"EVENT": 0, "NON_EVENT": 0}),
-    lambda tree: tree.update(threshold=float("nan")),
+    lambda model: _edit_every_node(model["tree"], _rename_event),
+    lambda model: model["tree"].update(attribute=-1),
+    lambda model: _first_leaf(model["tree"]).update(counts={"EVENT": -5, "NON_EVENT": 2}),
+    lambda model: _first_leaf(model["tree"]).update(counts={"EVENT": 0, "NON_EVENT": 0}),
+    lambda model: model["tree"].update(threshold=float("nan")),
+    lambda model: model["params"].update(min_leaf="2"),
+    lambda model: model["tree"].update(threshold=None),
+    lambda model: model.update(cue_ids=5),
+    lambda model: model["tree"].update(counts=list(model["tree"]["counts"].values())),
+    lambda model: model["params"].update(laplace_confidence="no"),
 ], ids=["unknown-label", "negative-attribute", "negative-count", "zero-counts",
-        "nan-threshold"])
+        "nan-threshold", "text-min-leaf", "null-threshold", "number-cue-ids",
+        "list-counts", "text-flag"])
 def test_classify_rejects_malformed_model(tmp_path, capsys, edit):
     synth_dir, dataset = full_pipeline(tmp_path, capsys)
     model = tmp_path / "model.json"
     assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
     payload = json.loads(model.read_text())
     assert "attribute" in payload["tree"]
-    edit(payload["tree"])
+    edit(payload)
     model.write_text(json.dumps(payload))
     lexicon = tmp_path / "lexicon.csv"
     capsys.readouterr()
@@ -403,8 +410,8 @@ def test_evaluate_deterministic_outputs(tmp_path, capsys):
         outs.append(out_dir)
     for name in ("report.txt", "predictions.csv", "curve.csv",
                  "confusion.csv", "accepted.csv", "to_review.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, name
 
 
@@ -433,10 +440,11 @@ def test_extract_with_custom_cue_file_and_relative(tmp_path, capsys):
     assert run(["extract", "--lang", "EN", "--corpus", corpus,
                 "--cues", str(cues), "--gold", gold, "--relative",
                 "--out", out]) == 0
-    header, war_row = open(out).read().splitlines()[:2]
+    lines = Path(out).read_text().splitlines()
+    header, war_row = lines[:2]
     assert header == "lemma,total,X-1,label"
     assert war_row == "map,1,0,NON_EVENT" or war_row.startswith("map")
-    rows = dict(line.split(",", 1) for line in open(out).read().splitlines()[1:])
+    rows = dict(line.split(",", 1) for line in lines[1:])
     # war occurs twice, matched once by X-1: relative count 0.5
     assert rows["war"] == "2,0.5,EVENT"
 
@@ -454,7 +462,7 @@ def test_extract_last_noun_policy(tmp_path):
                 "--out", out_last]) == 0
 
     def en1_count(path, lemma):
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         index = lines[0].split(",").index("EN-1")
         for line in lines[1:]:
             fields = line.split(",")

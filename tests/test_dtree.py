@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eventnouns.dtree import (
     LabeledExample,
@@ -57,6 +58,13 @@ def test_entropy_closed_form():
     assert entropy([3, 5]) == pytest.approx(expected, abs=1e-9)
 
 
+def test_two_count_entropy_is_entropy():
+    for a in range(61):
+        for b in range(61):
+            if a + b:
+                assert dtree._entropy2(a, b) == entropy([a, b]), (a, b)
+
+
 def test_entropy_rejects_empty_distribution():
     with pytest.raises(ValueError):
         entropy([0, 0])
@@ -79,6 +87,21 @@ def test_best_split_perfect_balanced():
 def test_best_split_constant_attribute():
     examples = make_examples([[2, 2, 2, 2]], [NON_EVENT, EVENT, NON_EVENT, EVENT])
     assert best_split(examples, 0) is None
+
+
+def test_best_split_one_label_is_none():
+    examples = make_examples([[0, 1, 2, 3]], [EVENT] * 4)
+    assert best_split(examples, 0) is None
+
+
+@pytest.mark.parametrize("labels", [["A", "B"], [EVENT, "event"], [NON_EVENT, "FOO"]])
+def test_unknown_labels_are_rejected(labels):
+    examples = make_examples([[0, 1, 2, 3]], labels * 2)
+    unknown = next(label for label in labels if label not in (EVENT, NON_EVENT))
+    with pytest.raises(ValueError, match=f"unknown label: '{unknown}'"):
+        train(examples, TreeParams(min_leaf=1))
+    with pytest.raises(ValueError, match=f"unknown label: '{unknown}'"):
+        best_split(examples, 0)
 
 
 def test_best_split_respects_min_leaf():
@@ -544,11 +567,37 @@ def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative
     assert max(count_nodes(tree_from_dict(t)) for t in histogram_trees) > 15
 
 
-def test_cross_validation_matches_pairwise_reference(monkeypatch):
-    dataset = _seeded_dataset(77, 1000)
+@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
+def test_cross_validation_matches_pairwise_reference(monkeypatch, relative):
+    dataset = _seeded_dataset(77, 1000, relative)
     report = cross_validate(dataset, TreeParams(), k=10, seed=5)
     monkeypatch.setattr(dtree, "_grow", _reference_grow)
     assert report == cross_validate(dataset, TreeParams(), k=10, seed=5)
+
+
+@st.composite
+def _small_datasets(draw):
+    n = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 3))
+    vectors, labels = [], {}
+    for i in range(n):
+        counts = tuple(draw(st.integers(0, 4)) for _ in range(dim))
+        total = sum(counts) + draw(st.integers(0, 3))
+        vectors.append(FeatureVector(f"w{i:02d}", counts, total))
+        labels[f"w{i:02d}"] = draw(st.sampled_from([EVENT, NON_EVENT]))
+    dataset = Dataset(tuple(f"C-{j}" for j in range(dim)), tuple(vectors), labels)
+    return to_relative(dataset) if draw(st.booleans()) else dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_datasets(), st.integers(1, 3), st.booleans())
+def test_training_matches_pairwise_reference_property(dataset, min_leaf, pruning):
+    examples = _examples_of(dataset)
+    params = TreeParams(min_leaf=min_leaf, pruning=pruning)
+    tree = train(examples, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dtree, "_grow", _reference_grow)
+        assert tree == train(examples, params)
 
 
 def _lopsided_examples(seed, n, relative=False):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from eventnouns.features import (
     EVENT,
     FeatureVector,
     NON_EVENT,
+    _parse_number,
     attach_labels,
     extract_features,
     read_dataset_csv,
@@ -200,6 +202,30 @@ def test_read_dataset_csv_errors(tmp_path):
     short_row.write_text("lemma,total,C-1,C-2\nwar,1,1\n")
     with pytest.raises(ValueError):
         read_dataset_csv(str(short_row))
+
+
+def test_read_dataset_csv_mixed_number_cells(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("lemma,total,C-1,C-2\nwar,1e3,1,0.5\nmap,2,0,0\n")
+    war, map_ = read_dataset_csv(str(path)).vectors
+    for vector, cells in ((war, ["1e3", "1", "0.5"]), (map_, ["2", "0", "0"])):
+        got = [vector.total_occurrences, *vector.counts]
+        want = [_parse_number(cell) for cell in cells]
+        assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+    assert [type(x) for x in (war.total_occurrences, *war.counts)] == [float, int, float]
+
+
+@pytest.mark.parametrize("counts, total, message", [
+    ((-1, math.nan), 1, "negative"),
+    ((-math.inf,), 1, "negative"),
+    ((math.nan,), -1, "negative"),
+    ((1, math.inf), 2, "non-finite"),
+    ((1,), math.nan, "non-finite"),
+    ((1,), 0, "cue counts but no occurrences"),
+])
+def test_feature_vector_check_order(counts, total, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureVector("a", counts, total)
 
 
 @pytest.mark.parametrize("row", ["war,4,nan", "war,4,inf", "war,nan,1"],
