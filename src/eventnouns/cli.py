@@ -110,6 +110,14 @@ def _extract_dataset(args, target_lemmas):
     return dataset
 
 
+def _read_labeled_dataset(path: str) -> features.Dataset:
+    _check_files([path])
+    dataset = features.read_dataset_csv(path)
+    if dataset.labels is None:
+        raise ValueError(f"{path}: dataset has no label column")
+    return dataset
+
+
 def _tree_params(args) -> dtree.TreeParams:
     return dtree.TreeParams(min_leaf=args.min_leaf,
                             confidence_factor=args.cf,
@@ -137,20 +145,16 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_files([args.dataset])
-    dataset = features.read_dataset_csv(args.dataset)
-    if dataset.labels is None:
-        raise ValueError(f"{args.dataset}: dataset has no label column")
+    dataset = _read_labeled_dataset(args.dataset)
     params = _tree_params(args)
     examples = [dtree.LabeledExample(v, dataset.labels[v.lemma])
                 for v in dataset.vectors]
     tree = dtree.train(examples, params)
     dtree.save_model(tree, args.out, cue_ids=dataset.cue_ids, params=params,
                      language=args.lang)
-    text = dtree.format_tree(tree, dataset.cue_ids)
     if args.tree_text:
         with open(args.tree_text, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(dtree.format_tree(tree, dataset.cue_ids))
     print(f"trained on {len(examples)} examples, "
           f"{dtree.count_nodes(tree)} nodes")
     print(f"wrote {args.out}")
@@ -175,10 +179,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.dataset:
-        _check_files([args.dataset])
-        dataset = features.read_dataset_csv(args.dataset)
-        if dataset.labels is None:
-            raise ValueError(f"{args.dataset}: dataset has no label column")
+        dataset = _read_labeled_dataset(args.dataset)
     else:
         if not args.corpus:
             raise UsageError("need --dataset FILE or --corpus FILE ...")

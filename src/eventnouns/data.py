@@ -58,11 +58,11 @@ _ENGLISH_NON_EVENT = (
 @dataclass(frozen=True)
 class GoldStandard:
     language: str
-    entries: Mapping[str, str]  # lemma -> EVENT | NON_EVENT
+    entries: Mapping[str, str]  # lemma -> EVENT | NON_EVENT, given in any case
 
     def __post_init__(self):
-        for label in self.entries.values():
-            normalize_label(label)
+        object.__setattr__(self, "entries", {
+            lemma: normalize_label(label) for lemma, label in self.entries.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -102,7 +102,7 @@ def load_gold(path: str, *, language: str = "") -> GoldStandard:
             raise ValueError(f"{path}:{row_number}: empty lemma")
         if lemma in entries:
             raise ValueError(f"{path}:{row_number}: duplicate lemma {lemma!r}")
-        entries[lemma] = normalize_label(row[1])
+        entries[lemma] = row[1]
     return GoldStandard(language, entries)
 
 

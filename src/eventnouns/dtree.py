@@ -33,7 +33,11 @@ _EPS = 1e-12
 @dataclass(frozen=True)
 class LabeledExample:
     vector: FeatureVector
-    label: str
+    label: str  # EVENT or NON_EVENT
+
+    def __post_init__(self):
+        if self.label not in LABELS:
+            raise ValueError(f"unknown label: {self.label!r} (expected EVENT or NON_EVENT)")
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,14 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     values. A candidate qualifies when its information gain is positive and
     both sides keep at least ``min_leaf`` examples; among qualifying
     candidates the one with the highest gain ratio wins, lowest threshold
-    on ties. Returns ``(threshold, gain, gain_ratio)``. Every label must be
-    EVENT or NON_EVENT.
+    on ties. Returns ``(threshold, gain, gain_ratio)``.
     """
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
-    _label_order(examples)
     histograms = [Counter(ex.vector.counts[attribute] for ex in examples
                           if ex.label == label) for label in LABELS]
     totals = [sum(histogram.values()) for histogram in histograms]
     return _best_threshold(histograms, totals, _entropy2(*totals), min_leaf)
-
-
-def _label_order(examples: Iterable[LabeledExample]) -> list[str]:
-    """The sorted labels of ``examples``, each of which must be in LABELS."""
-    labels = {ex.label for ex in examples}
-    unknown = sorted(labels.difference(LABELS))
-    if unknown:
-        raise ValueError(f"unknown label: {unknown[0]!r} (expected EVENT or NON_EVENT)")
-    return sorted(labels)
 
 
 def _entropy2(a: int, b: int) -> float:
@@ -224,8 +217,7 @@ def train(examples: Sequence[LabeledExample],
     nodes where no attribute offers a qualifying split. Splits maximize
     gain ratio; ties go to the lowest attribute index, then the lowest
     threshold. Pruning replaces a subtree with a leaf whenever the leaf's
-    pessimistic error estimate does not exceed the subtree's. Every label
-    must be EVENT or NON_EVENT, as a model file requires.
+    pessimistic error estimate does not exceed the subtree's.
     """
     params = params or TreeParams()
     examples = list(examples)
@@ -236,7 +228,7 @@ def train(examples: Sequence[LabeledExample],
         if len(ex.vector.counts) != dim:
             raise ValueError(
                 f"inconsistent dimensionality: {len(ex.vector.counts)} vs {dim}")
-    label_order = _label_order(examples)
+    label_order = sorted({ex.label for ex in examples})
     groups = [[ex.vector.counts for ex in examples if ex.label == label]
               for label in label_order]
     node = _grow(groups, _histograms(groups, dim), params, label_order)
@@ -387,6 +379,8 @@ def tree_to_dict(node: TreeNode) -> dict:
 
 def tree_from_dict(data: dict) -> TreeNode:
     """Rebuild a tree from :func:`tree_to_dict` output, checking each node."""
+    if type(data) is not dict:
+        raise ValueError(f"bad model node: {data!r}")
     counts = data["counts"]
     # `type(c) is int` turns away floats and bools, so the sum is safe
     if type(counts) is not dict or any(
@@ -422,9 +416,11 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     """Returns (tree, cue_ids, params, language)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != "eventnouns-tree/1":
+    if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":
         raise ValueError(f"{path}: not an eventnouns tree model")
     raw = payload["params"]
+    if type(raw) is not dict:
+        raise ValueError(f"{path}: bad model params: {raw!r}")
     values = {}
     for field in fields(TreeParams):
         value = raw[field.name]
@@ -434,7 +430,10 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
             raise ValueError(f"{path}: bad model param {field.name}: {value!r}")
         values[field.name] = value
     params = TreeParams(**values)
-    tree = tree_from_dict(payload["tree"])
+    try:
+        tree = tree_from_dict(payload["tree"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     cue_ids = payload["cue_ids"]
     if type(cue_ids) is not list or not all(type(c) is str for c in cue_ids):
         raise ValueError(f"{path}: bad model cue ids: {cue_ids!r}")

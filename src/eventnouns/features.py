@@ -62,7 +62,8 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A fixed-order collection of feature vectors, optionally labeled."""
+    """A fixed-order collection of feature vectors, optionally labeled.
+    Labels are case-insensitive and kept canonical: ``event`` as ``EVENT``."""
 
     cue_ids: tuple[str, ...]
     vectors: tuple[FeatureVector, ...]
@@ -84,8 +85,8 @@ class Dataset:
             missing = [l for l in lemmas if l not in self.labels]
             if missing:
                 raise ValueError("vectors without labels: " + ", ".join(sorted(missing)))
-            for label in self.labels.values():
-                normalize_label(label)
+            object.__setattr__(self, "labels", {
+                lemma: normalize_label(label) for lemma, label in self.labels.items()})
 
     @property
     def n(self) -> int:
@@ -144,7 +145,6 @@ def attach_labels(dataset: Dataset, gold: Mapping[str, str]) -> Dataset:
     from the dataset are added as all-zero vectors: silent words must still
     participate in cross-validation.
     """
-    gold = {lemma: normalize_label(label) for lemma, label in gold.items()}
     missing = sorted(v.lemma for v in dataset.vectors if v.lemma not in gold)
     if missing:
         raise ValueError("dataset lemmas missing from gold standard: "
@@ -154,8 +154,7 @@ def attach_labels(dataset: Dataset, gold: Mapping[str, str]) -> Dataset:
     extra = tuple(FeatureVector(lemma, zero, 0)
                   for lemma in sorted(gold) if lemma not in seen)
     vectors = tuple(sorted(dataset.vectors + extra, key=lambda v: v.lemma))
-    labels = {v.lemma: gold[v.lemma] for v in vectors}
-    return Dataset(dataset.cue_ids, vectors, labels)
+    return Dataset(dataset.cue_ids, vectors, gold)
 
 
 # --- CSV files -------------------------------------------------------------
@@ -224,5 +223,5 @@ def read_dataset_csv(path: str) -> Dataset:
             numbers = tuple(map(_parse_number, cells))
         vectors.append(FeatureVector(lemma, numbers[1:], numbers[0]))
         if labeled:
-            labels[lemma] = normalize_label(row[-1])
+            labels[lemma] = row[-1]
     return Dataset(cue_ids, tuple(vectors), labels if labeled else None)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ from eventnouns.cli import main
 from eventnouns.data import load_gold, write_gold_csv
 from eventnouns.evaluation import read_predictions_csv, write_predictions_csv
 from eventnouns.features import read_dataset_csv, write_dataset_csv
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY_CORPUS = (
     "during\tduring\tADP\nthe\tthe\tDET\nwar\twar\tNOUN\n\n"
@@ -269,6 +273,30 @@ def test_classify_rejects_malformed_model(tmp_path, capsys, edit):
     assert run(["classify", "--model", str(model), "--dataset", dataset,
                 "--out", str(lexicon)]) == 1
     assert "bad model" in capsys.readouterr().err
+    assert not lexicon.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda model: [model],
+    lambda model: {**model, "params": [1]},
+    lambda model: {**model, "tree": []},
+    lambda model: {**model, "tree": {**model["tree"], "left": 5}},
+], ids=["list-model", "list-params", "list-tree", "number-node"])
+def test_classify_rejects_non_object_in_model(tmp_path, capsys, edit):
+    _, dataset = full_pipeline(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    assert "attribute" in payload["tree"]
+    model.write_text(json.dumps(edit(payload)))
+    lexicon = tmp_path / "lexicon.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "eventnouns.cli", "classify", "--model", str(model),
+         "--dataset", dataset, "--out", str(lexicon)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {model}: ")
+    assert "Traceback" not in result.stderr
     assert not lexicon.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import builtin_cue_set, match_sentence
 from eventnouns.data import (
+    GoldStandard,
     SynthParams,
     _ENGLISH_EVENT,
     _ENGLISH_NON_EVENT,
@@ -79,6 +80,15 @@ def test_load_gold_label_case_insensitive(tmp_path):
     path.write_text("lemma,label\nguerra,event\nTren,non_event\n")
     gold = load_gold(str(path))
     assert gold.entries == {"guerra": EVENT, "tren": NON_EVENT}
+
+
+def test_gold_standard_stores_canonical_labels(tmp_path):
+    gold = GoldStandard("EN", {"war": "event", "tree": "Non_Event", "storm": "EVENT"})
+    assert (gold.count(EVENT), gold.count(NON_EVENT)) == (2, 1)
+    path = tmp_path / "gold.csv"
+    write_gold_csv(gold, str(path))
+    assert path.read_text().splitlines() == [
+        "lemma,label", "storm,EVENT", "tree,NON_EVENT", "war,EVENT"]
 
 
 def test_load_gold_rejects_unknown_label(tmp_path):

@@ -113,6 +113,18 @@ def test_all_zero_vectors_fall_back_to_majority():
     assert all(p.predicted == NON_EVENT for p in report.predictions)
 
 
+def test_lowercase_labels_cross_validate_like_canonical_ones():
+    vectors = tuple(FeatureVector(f"w{i}", (i % 3, i), 5) for i in range(6))
+    labels = {v.lemma: ("event" if i < 3 else "non_event") for i, v in enumerate(vectors)}
+    lower = Dataset(("C-0", "C-1"), vectors, labels)
+    upper = Dataset(("C-0", "C-1"), vectors,
+                    {lemma: label.upper() for lemma, label in labels.items()})
+    assert lower.labels == upper.labels
+    params = TreeParams(min_leaf=1)
+    assert cross_validate(lower, params, k=3, seed=0) == \
+        cross_validate(upper, params, k=3, seed=0)
+
+
 def test_pooled_predictions_cover_each_lemma_once():
     dataset = separable_dataset(21, 17)
     report = cross_validate(dataset, TreeParams(), k=5, seed=9)
