@@ -2,9 +2,11 @@
 
 A cue rule is an ordered sequence of token constraints with one designated
 TARGET slot (a noun). Matching a rule against a sentence yields one hit per
-successful match, bound to the noun in the target slot. Rules are shallow
-and strictly linear: no parsing, just left-to-right scanning over the
-tagged token stream.
+start position where it matches, bound to the noun in the target slot.
+Rules are shallow and strictly linear: each compiles to one lazy regular
+expression over chunks of sentences encoded as one character per token
+mask, the set of atoms a token satisfies. Matches may overlap; none crosses
+a sentence boundary.
 
 Rule files are line-oriented text: ``id<TAB>polarity<TAB>pattern`` with an
 optional fourth field ``disabled``. Pattern atoms are space-separated:
@@ -28,8 +30,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 from .corpus import Sentence, check_tag, coarse_tag
 
@@ -75,13 +80,6 @@ class TokenConstraint:
             if self.surface_in is not None or self.tag_in is not None:
                 raise ValueError("multi-token lemma literals cannot combine "
                                  "with surface or tag constraints")
-
-
-def _tag_matches(pattern: str, tag: str) -> bool:
-    # a coarse-only pattern matches any refinement; a refined pattern is exact
-    if ":" in pattern:
-        return tag == pattern
-    return coarse_tag(tag) == pattern
 
 
 @dataclass(frozen=True)
@@ -173,19 +171,21 @@ class _TagMasks(dict):
     def __missing__(self, tag: str) -> int:
         mask = 0
         for constraint, bit in self.constraints:
+            # a coarse-only pattern matches any refinement; a refined one is exact
             if constraint.tag_in is None or any(
-                    _tag_matches(pattern, tag) for pattern in constraint.tag_in):
+                    tag == pattern if ":" in pattern else coarse_tag(tag) == pattern
+                    for pattern in constraint.tag_in):
                 mask |= bit
         self[tag] = mask
         return mask
 
 
-def _field_table(constraints, field) -> tuple[int, dict[str, int]]:
+def _field_table(constraints, field: str) -> tuple[int, dict[str, int]]:
     """Masks of the values one field names, and the mask of any other value."""
     default = 0
     masks: dict[str, int] = {}
     for constraint, bit in constraints:
-        values = field(constraint)
+        values = getattr(constraint, field)
         if values is None:
             default |= bit
         else:
@@ -194,136 +194,112 @@ def _field_table(constraints, field) -> tuple[int, dict[str, int]]:
     return default, {value: mask | default for value, mask in masks.items()}
 
 
-_REPEAT_LIMIT = {Repeat.ONE: 0, Repeat.OPTIONAL: 1, Repeat.STAR: MAX_STAR}
+# lazy: the shortest consumption is tried first
+_QUANTIFIER = {Repeat.ONE: "", Repeat.OPTIONAL: "??", Repeat.STAR: f"{{0,{MAX_STAR}}}?"}
+# ends each sentence of a chunk; its tag has the empty mask, which no atom
+# holds, so no match crosses it
+_BOUNDARY = SimpleNamespace(surface="", lemma="", tag="")
 
 
 class _CompiledCueSet:
-    """The enabled rules of a cue set, compiled for matching.
+    """The enabled rules of a cue set, compiled to regular expressions.
 
-    Each distinct constraint of the enabled rules gets one bit, and a
-    token's atom mask holds the bits of the constraints it satisfies. A
-    constraint holds only when each of its fields holds, so the mask is the
-    AND of one table lookup per field. The lemma and surface tables hold
-    only the values the rules name; any other value gets the bits of the
-    constraints without that field.
+    Each distinct constraint of the enabled rules gets one bit, and so does
+    each word of a multi-word literal. A token's atom mask, the bits of the
+    constraints it satisfies, is the AND of one table lookup per field; the
+    lemma and surface tables hold only the values the rules name. A token is
+    encoded as the character of its mask, and an atom as the class of the
+    characters whose masks hold its bit, so a new mask rebuilds the patterns.
     """
 
     def __init__(self, cue_set: CueSet):
         bits: dict[TokenConstraint, int] = {}
-        # (rule id, elements, anchor, required); an element is (bit, repeat
-        # limit, multi-word literals, is target)
+
+        def bit(constraint: TokenConstraint) -> int:
+            return bits.setdefault(constraint, 1 << len(bits))
+
+        # (rule id, atoms); an atom is (bit, repeat, the word bits of each
+        # multi-word literal, shortest first, is target)
         self.rules = []
-        for rule in cue_set.rules:
-            if not rule.enabled:
-                continue
-            elements = []
-            # a repeat-ONE single-token atom consumes one token it holds on,
-            # so a sentence lacking any of their bits cannot match the rule
-            required = 0
+        for rule in (rule for rule in cue_set.rules if rule.enabled):
+            atoms = []
             for index, constraint in enumerate(rule.elements):
-                bit = bits.setdefault(constraint, 1 << len(bits))
-                limit = _REPEAT_LIMIT[constraint.repeat]
-                literals = tuple(sorted(
-                    (tuple(entry.split(" "))
-                     for entry in constraint.lemma_in or () if " " in entry),
-                    key=len))
-                elements.append((bit, limit, literals, index == rule.target_index))
-                if limit == 0 and not literals:
-                    required |= bit
-            # a match can start only where a leading repeat-ONE atom holds on
-            # the token or one of its multi-word literals begins; 0 tries all
-            bit, limit, literals, _ = elements[0]
-            anchor = 0
-            if limit == 0:
-                anchor = bit
-                if literals:
-                    first_words = TokenConstraint(
-                        lemma_in=frozenset(words[0] for words in literals))
-                    anchor |= bits.setdefault(first_words, 1 << len(bits))
-            self.rules.append((rule.id, tuple(elements), anchor, required))
+                literals = sorted((entry.split(" ") for entry in constraint.lemma_in or ()
+                                   if " " in entry), key=len)
+                word_bits = [[bit(TokenConstraint(lemma_in=frozenset({w}))) for w in words]
+                             for words in literals]
+                atoms.append((bit(constraint), constraint.repeat, word_bits,
+                              index == rule.target_index))
+            self.rules.append((rule.id, atoms))
         constraints = tuple(bits.items())
-        self.lemma_default, self.lemma_masks = _field_table(
-            constraints, lambda c: c.lemma_in)
-        self.surface_default, self.surface_masks = _field_table(
-            constraints, lambda c: c.surface_in)
+        self.lemma_default, self.lemma_masks = _field_table(constraints, "lemma_in")
+        self.surface_default, self.surface_masks = _field_table(constraints, "surface_in")
         self.use_surface = any(c.surface_in is not None for c in bits)
         self.tag_masks = _TagMasks(constraints)
+        self.tag_masks[_BOUNDARY.tag] = 0
+        self.chars: dict[int, str] = {}  # mask -> the character that encodes it
+        self.patterns: dict[bool, list[tuple[str, re.Pattern]]] = {}  # by last_noun
 
-    def masks(self, tokens) -> list[int]:
-        """The atom mask of each token."""
-        lemma_masks, lemma_default = self.lemma_masks, self.lemma_default
-        tag_masks = self.tag_masks
-        masks = [lemma_masks.get(token.lemma, lemma_default) & tag_masks[token.tag]
+    def encode(self, sentences: Sequence[Sentence]) -> tuple[str, list, list[int]]:
+        """The chunk as text, with its tokens, each sentence followed by the
+        boundary, and the offset of each sentence in both."""
+        tokens, starts = [], []
+        for sentence in sentences:
+            starts.append(len(tokens))
+            tokens += sentence.tokens
+            tokens.append(_BOUNDARY)
+        lemma_masks, tag_masks = self.lemma_masks, self.tag_masks
+        masks = [lemma_masks.get(token.lemma, self.lemma_default) & tag_masks[token.tag]
                  for token in tokens]
         if self.use_surface:
             surface_masks, surface_default = self.surface_masks, self.surface_default
             masks = [mask & surface_masks.get(token.surface.lower(), surface_default)
                      for mask, token in zip(masks, tokens)]
-        return masks
+        for mask in set(masks).difference(self.chars):
+            self.chars[mask] = chr(0x100 + len(self.chars))
+            self.patterns.clear()
+        return "".join(map(self.chars.__getitem__, masks)), tokens, starts
+
+    def compile(self, last_noun: bool) -> list[tuple[str, re.Pattern]]:
+        """Build each rule's pattern for the masks seen so far."""
+        def chars(bit: int) -> str:
+            # "\xff" encodes no mask; it keeps a class no mask fills valid
+            return "[\xff" + "".join(c for mask, c in self.chars.items() if mask & bit) + "]"
+
+        patterns = self.patterns[last_noun] = []
+        for rule_id, atoms in self.rules:
+            parts = []
+            for bit, repeat, word_bits, is_target in atoms:
+                # the hit is the last token of group 1; a noun run is
+                # matched whole without an atomic group, which 3.10 lacks
+                if is_target and last_noun:
+                    parts += [chars(bit), f"({chars(bit)}*)(?!{chars(bit)})"]
+                elif is_target:
+                    parts.append(f"({chars(bit)})")
+                elif word_bits:
+                    literals = ("".join(map(chars, words)) for words in word_bits)
+                    parts.append("(?:" + "|".join([chars(bit), *literals]) + ")")
+                else:
+                    parts.append(chars(bit) + _QUANTIFIER[repeat])
+            # all but a first atom that takes one token is a lookahead, so each
+            # start is tried; the engine skips starts that token's class rules out
+            _, repeat, word_bits, _ = atoms[0]
+            head = parts.pop(0) if repeat is Repeat.ONE and not word_bits else ""
+            patterns.append((rule_id, re.compile(head + "(?=" + "".join(parts) + ")")))
+        return patterns
 
 
-def _match_from(elements, ei: int, ti: int, masks, tokens, last_noun: bool,
-                bound: int) -> int:
-    """Match ``elements[ei:]`` from token ``ti``; ``bound`` is the target
-    token if the target slot lies before ``ei``.
-
-    Returns the index of the token bound to the target slot, or -1. Optional
-    and starred atoms and multi-word literals try their shortest
-    consumption first and backtrack into longer ones.
-    """
-    n = len(masks)
-    for ei in range(ei, len(elements)):
-        bit, limit, literals, is_target = elements[ei]
-        if is_target:
-            if ti >= n or not masks[ti] & bit:
-                return -1
-            bound, ti = ti, ti + 1
-            if last_noun:
-                # bind the last noun of a consecutive noun run (compound heads)
-                while ti < n and masks[ti] & bit:
-                    bound, ti = ti, ti + 1
-            continue
-        if limit:
-            end = ti
-            while end - ti < limit and end < n and masks[end] & bit:
-                end += 1
-            lengths = range(end - ti + 1)
-        elif literals:
-            if ti >= n:
-                return -1
-            lemma = tokens[ti].lemma
-            lengths = [1] if masks[ti] & bit else []
-            for words in literals:  # shortest first
-                if (words[0] == lemma and ti + len(words) <= n
-                        and len(words) not in lengths
-                        and all(tokens[ti + k].lemma == words[k]
-                                for k in range(1, len(words)))):
-                    lengths.append(len(words))
-            if not lengths:
-                return -1
-        else:
-            if ti >= n or not masks[ti] & bit:
-                return -1
-            ti += 1
-            continue
-        for length in lengths[:-1]:
-            found = _match_from(elements, ei + 1, ti + length, masks, tokens,
-                                last_noun, bound)
-            if found >= 0:
-                return found
-        ti += lengths[-1]
-    return bound
-
-
-def match_sentence(sentence: Sentence, cue_set: CueSet, *,
-                   target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
-    """Match every enabled rule against one sentence.
+def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
+                    target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
+    """Match every enabled rule against each sentence of a chunk.
 
     For each rule the scan tries every start position left to right; each
-    successful match emits one hit for the target token and scanning
-    resumes at the token after the match start, so overlapping matches of
-    the same rule at later starts are all reported. Matching never crosses
-    sentence boundaries.
+    successful match emits one hit for the target token, so overlapping
+    matches of the same rule at later starts are all reported. Optional and
+    starred atoms and multi-word literals try their shortest consumption
+    first and backtrack into longer ones. Matching never crosses sentence
+    boundaries. Hits come rule by rule, then by start; a hit's
+    ``token_index`` counts from the start of its own sentence.
 
     The default target policy binds the first noun after the pattern
     prefix, compound head or not; ``TARGET_LAST_NOUN`` binds the last noun
@@ -334,25 +310,21 @@ def match_sentence(sentence: Sentence, cue_set: CueSet, *,
     if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         raise ValueError(f"unknown target policy: {target_policy!r}")
     compiled = cue_set._compiled
-    tokens = sentence.tokens
-    masks = compiled.masks(tokens)
-    present = 0
-    for mask in masks:
-        present |= mask
+    text, tokens, starts = compiled.encode(sentences)
     last_noun = target_policy == TARGET_LAST_NOUN
     hits = []
-    for rule_id, elements, anchor, required in compiled.rules:
-        if present & required != required:
-            continue
-        if anchor:
-            starts = [i for i, mask in enumerate(masks) if mask & anchor]
-        else:
-            starts = range(len(tokens))
-        for start in starts:
-            bound = _match_from(elements, 0, start, masks, tokens, last_noun, -1)
-            if bound >= 0:
-                hits.append(CueHit(rule_id, tokens[bound].lemma, bound))
+    for rule_id, pattern in compiled.patterns.get(last_noun) or compiled.compile(last_noun):
+        for match in pattern.finditer(text):
+            bound = match.end(1) - 1
+            index = bound - starts[bisect_right(starts, bound) - 1]
+            hits.append(CueHit(rule_id, tokens[bound].lemma, index))
     return hits
+
+
+def match_sentence(sentence: Sentence, cue_set: CueSet, *,
+                   target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
+    """:func:`match_sentences` on a chunk of one sentence."""
+    return match_sentences((sentence,), cue_set, target_policy=target_policy)
 
 
 # --- rule file format -----------------------------------------------------

@@ -377,11 +377,18 @@ def tree_to_dict(node: TreeNode) -> dict:
     }
 
 
+def _required(data: dict, key: str, what: str = "model node"):
+    """``data[key]``, or a ValueError saying that ``what`` lacks it."""
+    if key not in data:
+        raise ValueError(f"{what} lacks {key!r}")
+    return data[key]
+
+
 def tree_from_dict(data: dict) -> TreeNode:
     """Rebuild a tree from :func:`tree_to_dict` output, checking each node."""
     if type(data) is not dict:
         raise ValueError(f"bad model node: {data!r}")
-    counts = data["counts"]
+    counts = _required(data, "counts")
     # `type(c) is int` turns away floats and bools, so the sum is safe
     if type(counts) is not dict or any(
             label not in LABELS or type(c) is not int or c < 0
@@ -389,13 +396,14 @@ def tree_from_dict(data: dict) -> TreeNode:
         raise ValueError(f"bad model node counts: {counts!r}")
     if "attribute" not in data:
         return TreeNode(dict(counts))
-    attribute, threshold = data["attribute"], data["threshold"]
+    attribute, threshold = data["attribute"], _required(data, "threshold")
     if (type(attribute) is not int or attribute < 0
             or type(threshold) not in (int, float) or not math.isfinite(threshold)):
         raise ValueError(f"bad model split: attribute {attribute!r}, "
                          f"threshold {threshold!r}")
     return TreeNode(dict(counts), attribute, float(threshold),
-                    tree_from_dict(data["left"]), tree_from_dict(data["right"]))
+                    tree_from_dict(_required(data, "left")),
+                    tree_from_dict(_required(data, "right")))
 
 
 def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
@@ -418,12 +426,12 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
         payload = json.load(fh)
     if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":
         raise ValueError(f"{path}: not an eventnouns tree model")
-    raw = payload["params"]
+    raw = _required(payload, "params", f"{path}: model")
     if type(raw) is not dict:
         raise ValueError(f"{path}: bad model params: {raw!r}")
     values = {}
     for field in fields(TreeParams):
-        value = raw[field.name]
+        value = _required(raw, field.name, f"{path}: model 'params'")
         # a field's default has its JSON type: bool flags, an int min_leaf
         # and a float confidence factor, so a bool is no number here
         if type(value) is not type(field.default):
@@ -431,10 +439,10 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
         values[field.name] = value
     params = TreeParams(**values)
     try:
-        tree = tree_from_dict(payload["tree"])
+        tree = tree_from_dict(_required(payload, "tree", "model"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    cue_ids = payload["cue_ids"]
+    cue_ids = _required(payload, "cue_ids", f"{path}: model")
     if type(cue_ids) is not list or not all(type(c) is str for c in cue_ids):
         raise ValueError(f"{path}: bad model cue ids: {cue_ids!r}")
     return tree, tuple(cue_ids), params, payload.get("language", "")

@@ -300,6 +300,41 @@ def test_classify_rejects_non_object_in_model(tmp_path, capsys, edit):
     assert not lexicon.exists()
 
 
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda model: _without(model, "params"), "model lacks 'params'"),
+    (lambda model: _without(model, "tree"), "model lacks 'tree'"),
+    (lambda model: _without(model, "cue_ids"), "model lacks 'cue_ids'"),
+    (lambda model: {**model, "params": _without(model["params"], "min_leaf")},
+     "model 'params' lacks 'min_leaf'"),
+    (lambda model: {**model, "tree": _without(model["tree"], "counts")},
+     "model node lacks 'counts'"),
+    (lambda model: {**model, "tree": _without(model["tree"], "threshold")},
+     "model node lacks 'threshold'"),
+    (lambda model: {**model, "tree": _without(model["tree"], "left")},
+     "model node lacks 'left'"),
+    (lambda model: {**model, "tree": _without(model["tree"], "right")},
+     "model node lacks 'right'"),
+], ids=["params", "tree", "cue_ids", "min_leaf", "counts", "threshold", "left",
+        "right"])
+def test_classify_names_a_missing_model_key(tmp_path, capsys, edit, message):
+    _, dataset = full_pipeline(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
+    payload = json.loads(model.read_text())
+    assert "attribute" in payload["tree"]
+    model.write_text(json.dumps(edit(payload)))
+    lexicon = tmp_path / "lexicon.csv"
+    capsys.readouterr()
+    assert run(["classify", "--model", str(model), "--dataset", dataset,
+                "--out", str(lexicon)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert not lexicon.exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("a,EVENT,EVENT,nan", "not in [0, 1]"),
     ("b,EVENT,EVENT,2.5", "not in [0, 1]"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from eventnouns.cues import (
     builtin_cue_set,
     load_cue_set,
     match_sentence,
+    match_sentences,
 )
 from eventnouns.data import SynthParams, generate_synthetic_corpus
 
@@ -143,6 +145,7 @@ def test_matching_never_crosses_sentence_boundary():
     cs = builtin_cue_set("ES")
     assert hits_of(first, cs) == []
     assert hits_of(second, cs) == []
+    assert match_sentences((first, second), cs) == []
     glued = Sentence(first.tokens + second.tokens)
     assert [h.cue_id for h in hits_of(glued, cs)] == ["ES-1"]
 
@@ -365,11 +368,17 @@ def _reference_match_sentence(sentence, cue_set, *, target_policy=TARGET_FIRST_N
 
 
 def assert_same_hits(sentences, cue_set):
+    """Each sentence alone gives the reference's hits in its order, and all
+    of them as one chunk give the same hits, none across a join."""
     for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
+        chunk_want = Counter()
         for sentence in sentences:
             want = _reference_match_sentence(sentence, cue_set, target_policy=policy)
             got = match_sentence(sentence, cue_set, target_policy=policy)
             assert got == want, (cue_set.cue_ids, policy, sentence)
+            chunk_want.update(want)
+        chunk_got = Counter(match_sentences(sentences, cue_set, target_policy=policy))
+        assert chunk_got == chunk_want, (cue_set.cue_ids, policy, sentences)
 
 
 def _synth_sentences(language, seed):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -89,6 +90,13 @@ def test_gold_standard_stores_canonical_labels(tmp_path):
     write_gold_csv(gold, str(path))
     assert path.read_text().splitlines() == [
         "lemma,label", "storm,EVENT", "tree,NON_EVENT", "war,EVENT"]
+
+
+@pytest.mark.parametrize("label", [None, 1, ["EVENT"]])
+def test_gold_standard_rejects_non_string_label(label):
+    message = f"unknown label: {label!r} (expected EVENT or NON_EVENT)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GoldStandard("EN", {"war": "EVENT", "tree": label})
 
 
 def test_load_gold_rejects_unknown_label(tmp_path):

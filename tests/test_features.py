@@ -1,11 +1,26 @@
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from conftest import sent
-from eventnouns.cues import builtin_cue_set, match_sentence
-from eventnouns.data import _TEMPLATES, english_gold, instantiate_template
+from eventnouns import features
+from eventnouns.corpus import parse_tagged_corpus
+from eventnouns.cues import (
+    TARGET_FIRST_NOUN,
+    TARGET_LAST_NOUN,
+    builtin_cue_set,
+    match_sentence,
+)
+from eventnouns.data import (
+    SynthParams,
+    _TEMPLATES,
+    english_gold,
+    generate_synthetic_corpus,
+    instantiate_template,
+)
 from eventnouns.features import (
     Dataset,
     EVENT,
@@ -105,6 +120,38 @@ def test_counts_match_per_sentence_rescan():
             assert vector.counts[position] == brute
 
 
+def _per_sentence_dataset(corpus, cue_set, lemmas, policy):
+    """Counts and noun totals aggregated one sentence at a time."""
+    counts = {lemma: Counter() for lemma in lemmas}
+    totals = Counter()
+    for sentence in corpus:
+        totals.update(t.lemma for t in sentence if t.coarse == "NOUN")
+        for hit in match_sentence(sentence, cue_set, target_policy=policy):
+            if hit.lemma in counts:
+                counts[hit.lemma][hit.cue_id] += 1
+    return Dataset(cue_set.cue_ids, tuple(
+        FeatureVector(lemma, tuple(counts[lemma][c] for c in cue_set.cue_ids),
+                      totals[lemma])
+        for lemma in sorted(lemmas)))
+
+
+@pytest.mark.parametrize("policy", [TARGET_FIRST_NOUN, TARGET_LAST_NOUN])
+@pytest.mark.parametrize("language", ["EN", "ES"])
+@pytest.mark.parametrize("chunk_tokens", [1, 2, 7])
+def test_chunked_extraction_equals_per_sentence(monkeypatch, chunk_tokens,
+                                                language, policy):
+    params = SynthParams(n_event=10, n_non_event=10, occurrences=(2, 6),
+                         noise=0.2, seed=13)
+    synth = generate_synthetic_corpus(params, language=language)
+    corpus = list(parse_tagged_corpus(synth.corpus_text.splitlines()))
+    cs = builtin_cue_set(language).with_all_enabled()
+    lemmas = sorted(synth.gold.entries)
+    want = _per_sentence_dataset(corpus, cs, lemmas, policy)
+    assert not all(v.is_zero for v in want.vectors)
+    monkeypatch.setattr(features, "CHUNK_TOKENS", chunk_tokens)
+    assert extract_features(iter(corpus), cs, lemmas, target_policy=policy) == want
+
+
 def test_to_relative():
     dataset = Dataset(("C-1", "C-2"),
                       (FeatureVector("a", (2, 0), 4),
@@ -144,6 +191,13 @@ def test_attach_labels_accepts_lowercase_labels():
     dataset = extract_features(guerra_corpus(), builtin_cue_set("ES"), {"guerra"})
     labeled = attach_labels(dataset, {"guerra": "event"})
     assert labeled.labels["guerra"] == EVENT
+
+
+@pytest.mark.parametrize("label", [None, 1, ["EVENT"]])
+def test_dataset_rejects_non_string_label(label):
+    message = f"unknown label: {label!r} (expected EVENT or NON_EVENT)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Dataset(("C-1",), (FeatureVector("w", (1,), 1),), labels={"w": label})
 
 
 def test_dataset_invariants():
