@@ -60,6 +60,11 @@ def _check_flag_ranges(args) -> None:
             raise UsageError(f"{flag} must be {allowed}, got {value:g}")
 
 
+# evaluate flags that only shape extraction from a corpus, which --dataset skips
+_EXTRACTION_FLAGS = ("corpus", "cues", "gold", "builtin_gold", "relative",
+                     "last_noun", "lenient")
+
+
 def _check_files(paths) -> None:
     for path in paths:
         if not os.path.exists(path):
@@ -179,6 +184,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.dataset:
+        given = ["--" + dest.replace("_", "-") for dest in _EXTRACTION_FLAGS
+                 if getattr(args, dest)]
+        if given:
+            raise UsageError(f"--dataset cannot be combined with {', '.join(given)}")
         dataset = _read_labeled_dataset(args.dataset)
     else:
         if not args.corpus:
@@ -247,6 +256,7 @@ def _cmd_synth(args) -> int:
 
 
 def _add_corpus_options(parser, *, corpus_required):
+    """Add the extraction flags; returns the group of exclusive target sources."""
     parser.add_argument("--lang", default="EN", type=str.upper, choices=["EN", "ES"],
                         help="language of the built-in cue set (default EN)")
     parser.add_argument("--corpus", action="append", default=[],
@@ -254,15 +264,17 @@ def _add_corpus_options(parser, *, corpus_required):
                         help="tagged corpus file; repeatable")
     parser.add_argument("--cues", metavar="FILE",
                         help="cue rule file (default: built-in set for --lang)")
-    parser.add_argument("--gold", metavar="FILE", help="gold standard CSV")
-    parser.add_argument("--builtin-gold", action="store_true",
-                        help="use the built-in English gold standard")
+    targets = parser.add_mutually_exclusive_group()
+    targets.add_argument("--gold", metavar="FILE", help="gold standard CSV")
+    targets.add_argument("--builtin-gold", action="store_true",
+                         help="use the built-in English gold standard")
     parser.add_argument("--lenient", action="store_true",
                         help="skip malformed corpus lines instead of failing")
     parser.add_argument("--relative", action="store_true",
                         help="divide counts by lemma occurrence totals")
     parser.add_argument("--last-noun", action="store_true",
                         help="bind the last noun of a compound instead of the first")
+    return targets
 
 
 def _add_tree_options(parser):
@@ -283,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="extract per-lemma cue count vectors")
-    _add_corpus_options(p, corpus_required=True)
-    p.add_argument("--lemmas", metavar="FILE",
-                   help="plain lemma list for unlabeled extraction")
+    _add_corpus_options(p, corpus_required=True).add_argument(
+        "--lemmas", metavar="FILE", help="plain lemma list for unlabeled extraction")
     p.add_argument("--out", default="dataset.csv", metavar="FILE")
     p.set_defaults(handler=_cmd_extract)
 

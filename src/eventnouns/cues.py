@@ -3,10 +3,10 @@
 A cue rule is an ordered sequence of token constraints with one designated
 TARGET slot (a noun). Matching a rule against a sentence yields one hit per
 start position where it matches, bound to the noun in the target slot.
-Rules are shallow and strictly linear: each compiles to one lazy regular
-expression over chunks of sentences encoded as one character per token
-mask, the set of atoms a token satisfies. Matches may overlap; none crosses
-a sentence boundary.
+Rules are shallow and strictly linear: each compiles once to a lazy regular
+expression over chunks of sentences, one character per token mask (the set
+of atoms a token satisfies; the rules fix every mask a token can have).
+Matches may overlap; none crosses a sentence boundary.
 
 Rule files are line-oriented text: ``id<TAB>polarity<TAB>pattern`` with an
 optional fourth field ``disabled``. Pattern atoms are space-separated:
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
-from .corpus import Sentence, check_tag, coarse_tag
+from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -71,6 +71,8 @@ class TokenConstraint:
             values = getattr(self, name)
             if values is not None:
                 object.__setattr__(self, name, frozenset(v.lower() for v in values))
+        if frozenset() in (self.lemma_in, self.surface_in, self.tag_in):
+            raise ValueError("a constraint field must name at least one value")
         for tag in self.tag_in or ():
             check_tag(tag)  # the check a corpus token's tag passes
         if self.lemma_in is not None and any(" " in entry for entry in self.lemma_in):
@@ -165,7 +167,7 @@ class _TagMasks(dict):
     """Tag -> atom mask, filled in as tags are seen."""
 
     def __init__(self, constraints):
-        super().__init__()
+        super().__init__({_BOUNDARY.tag: 0})
         self.constraints = constraints
 
     def __missing__(self, tag: str) -> int:
@@ -196,8 +198,7 @@ def _field_table(constraints, field: str) -> tuple[int, dict[str, int]]:
 
 # lazy: the shortest consumption is tried first
 _QUANTIFIER = {Repeat.ONE: "", Repeat.OPTIONAL: "??", Repeat.STAR: f"{{0,{MAX_STAR}}}?"}
-# ends each sentence of a chunk; its tag has the empty mask, which no atom
-# holds, so no match crosses it
+# ends each sentence of a chunk; its tag's mask is 0, so no match crosses it
 _BOUNDARY = SimpleNamespace(surface="", lemma="", tag="")
 
 
@@ -207,9 +208,11 @@ class _CompiledCueSet:
     Each distinct constraint of the enabled rules gets one bit, and so does
     each word of a multi-word literal. A token's atom mask, the bits of the
     constraints it satisfies, is the AND of one table lookup per field; the
-    lemma and surface tables hold only the values the rules name. A token is
-    encoded as the character of its mask, and an atom as the class of the
-    characters whose masks hold its bit, so a new mask rebuilds the patterns.
+    lemma and surface tables hold only the values the rules name, and a tag
+    no rule names has its coarse tag's mask, so every mask is known here. A
+    token is encoded as the character of its mask, and an atom as the class
+    of those whose masks hold its bit: never empty, as a constraint's own
+    table entries all hold its bit. Each rule compiles once per policy.
     """
 
     def __init__(self, cue_set: CueSet):
@@ -234,11 +237,19 @@ class _CompiledCueSet:
         constraints = tuple(bits.items())
         self.lemma_default, self.lemma_masks = _field_table(constraints, "lemma_in")
         self.surface_default, self.surface_masks = _field_table(constraints, "surface_in")
-        self.use_surface = any(c.surface_in is not None for c in bits)
         self.tag_masks = _TagMasks(constraints)
-        self.tag_masks[_BOUNDARY.tag] = 0
-        self.chars: dict[int, str] = {}  # mask -> the character that encodes it
-        self.patterns: dict[bool, list[tuple[str, re.Pattern]]] = {}  # by last_noun
+        tags = {*COARSE_TAGS, _BOUNDARY.tag, *(t for c in bits for t in c.tag_in or ())}
+        masks = {lemma & self.tag_masks[tag] for tag in tags
+                 for lemma in (self.lemma_default, *self.lemma_masks.values())}
+        masks = {mask & surface for mask in masks  # the default holds all bits if unused
+                 for surface in (self.surface_default, *self.surface_masks.values())}
+        # code points below 256 keep each class a small bitmap in ``re``
+        self.chars = {mask: chr(k) for k, mask in enumerate(sorted(masks))}
+        classes = {bit: "[" + "".join(re.escape(c) for mask, c in self.chars.items()
+                                      if mask & bit) + "]" for bit in bits.values()}
+        self.patterns = {last_noun: [(rule_id, _pattern(atoms, classes.__getitem__, last_noun))
+                                     for rule_id, atoms in self.rules]
+                         for last_noun in (False, True)}
 
     def encode(self, sentences: Sequence[Sentence]) -> tuple[str, list, list[int]]:
         """The chunk as text, with its tokens, each sentence followed by the
@@ -251,42 +262,33 @@ class _CompiledCueSet:
         lemma_masks, tag_masks = self.lemma_masks, self.tag_masks
         masks = [lemma_masks.get(token.lemma, self.lemma_default) & tag_masks[token.tag]
                  for token in tokens]
-        if self.use_surface:
+        if self.surface_masks:
             surface_masks, surface_default = self.surface_masks, self.surface_default
             masks = [mask & surface_masks.get(token.surface.lower(), surface_default)
                      for mask, token in zip(masks, tokens)]
-        for mask in set(masks).difference(self.chars):
-            self.chars[mask] = chr(0x100 + len(self.chars))
-            self.patterns.clear()
         return "".join(map(self.chars.__getitem__, masks)), tokens, starts
 
-    def compile(self, last_noun: bool) -> list[tuple[str, re.Pattern]]:
-        """Build each rule's pattern for the masks seen so far."""
-        def chars(bit: int) -> str:
-            # "\xff" encodes no mask; it keeps a class no mask fills valid
-            return "[\xff" + "".join(c for mask, c in self.chars.items() if mask & bit) + "]"
 
-        patterns = self.patterns[last_noun] = []
-        for rule_id, atoms in self.rules:
-            parts = []
-            for bit, repeat, word_bits, is_target in atoms:
-                # the hit is the last token of group 1; a noun run is
-                # matched whole without an atomic group, which 3.10 lacks
-                if is_target and last_noun:
-                    parts += [chars(bit), f"({chars(bit)}*)(?!{chars(bit)})"]
-                elif is_target:
-                    parts.append(f"({chars(bit)})")
-                elif word_bits:
-                    literals = ("".join(map(chars, words)) for words in word_bits)
-                    parts.append("(?:" + "|".join([chars(bit), *literals]) + ")")
-                else:
-                    parts.append(chars(bit) + _QUANTIFIER[repeat])
-            # all but a first atom that takes one token is a lookahead, so each
-            # start is tried; the engine skips starts that token's class rules out
-            _, repeat, word_bits, _ = atoms[0]
-            head = parts.pop(0) if repeat is Repeat.ONE and not word_bits else ""
-            patterns.append((rule_id, re.compile(head + "(?=" + "".join(parts) + ")")))
-        return patterns
+def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
+    """One rule's pattern for one target policy, given each bit's class."""
+    parts = []
+    for bit, repeat, word_bits, is_target in atoms:
+        # the hit is the last token of group 1; a noun run is
+        # matched whole without an atomic group, which 3.10 lacks
+        if is_target and last_noun:
+            parts += [chars(bit), f"({chars(bit)}*)(?!{chars(bit)})"]
+        elif is_target:
+            parts.append(f"({chars(bit)})")
+        elif word_bits:
+            literals = ("".join(map(chars, words)) for words in word_bits)
+            parts.append("(?:" + "|".join([chars(bit), *literals]) + ")")
+        else:
+            parts.append(chars(bit) + _QUANTIFIER[repeat])
+    # all but a first atom that takes one token is a lookahead, so each
+    # start is tried; the engine skips starts that token's class rules out
+    _, repeat, word_bits, _ = atoms[0]
+    head = parts.pop(0) if repeat is Repeat.ONE and not word_bits else ""
+    return re.compile(head + "(?=" + "".join(parts) + ")")
 
 
 def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
@@ -309,11 +311,9 @@ def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
     """
     if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         raise ValueError(f"unknown target policy: {target_policy!r}")
-    compiled = cue_set._compiled
-    text, tokens, starts = compiled.encode(sentences)
-    last_noun = target_policy == TARGET_LAST_NOUN
+    text, tokens, starts = cue_set._compiled.encode(sentences)
     hits = []
-    for rule_id, pattern in compiled.patterns.get(last_noun) or compiled.compile(last_noun):
+    for rule_id, pattern in cue_set._compiled.patterns[target_policy == TARGET_LAST_NOUN]:
         for match in pattern.finditer(text):
             bound = match.end(1) - 1
             index = bound - starts[bisect_right(starts, bound) - 1]

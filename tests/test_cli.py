@@ -377,6 +377,38 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("extra", [
+    ["--corpus", "missing.tsv"], ["--cues", "missing.tsv"], ["--gold", "missing.csv"],
+    ["--builtin-gold"], ["--relative"], ["--last-noun"], ["--lenient"],
+], ids=lambda extra: extra[0])
+def test_evaluate_dataset_rejects_extraction_flags(tmp_path, capsys, extra):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text("not a dataset\n", encoding="utf-8")  # exits 1 if read
+    out = tmp_path / "out"
+    assert run(["evaluate", "--seed", "1", "--k", "2", "--dataset", str(dataset),
+                *extra, "--out", str(out)]) == 2
+    assert f"error: --dataset cannot be combined with {extra[0]}" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--gold", "GOLD", "--builtin-gold"],
+    ["extract", "--gold", "GOLD", "--lemmas", "LEMMAS"],
+    ["extract", "--builtin-gold", "--lemmas", "LEMMAS"],
+    ["evaluate", "--seed", "1", "--gold", "GOLD", "--builtin-gold"],
+], ids=["extract-gold-builtin", "extract-gold-lemmas", "extract-builtin-lemmas",
+        "evaluate-gold-builtin"])
+def test_conflicting_target_sources_are_usage_error(tmp_path, capsys, argv):
+    files = {"GOLD": write_gold(tmp_path, [("war", "EVENT"), ("map", "NON_EVENT")]),
+             "LEMMAS": str(tmp_path / "lemmas.txt")}
+    Path(files["LEMMAS"]).write_text("war\nmap\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [files.get(arg, arg) for arg in argv]
+    assert run([*argv, "--corpus", write_corpus(tmp_path), "--out", str(out)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _run_on_bad_dataset(tmp_path, capsys, command, text):
     """Exit code of ``command`` on a dataset CSV holding ``text``, with a
     model trained on a clean dataset for ``classify``; asserts that nothing

@@ -1,11 +1,12 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sent
-from eventnouns.corpus import Sentence, TaggedToken, parse_tagged_corpus
+from eventnouns.corpus import COARSE_TAGS, Sentence, TaggedToken, parse_tagged_corpus
 from eventnouns.cues import (
     CueHit,
     MAX_STAR,
@@ -19,7 +20,7 @@ from eventnouns.cues import (
     match_sentence,
     match_sentences,
 )
-from eventnouns.data import SynthParams, generate_synthetic_corpus
+from eventnouns.data import SynthParams, generate_synthetic_corpus, validate_templates
 
 
 def hits_of(sentence, cue_set, **kwargs):
@@ -244,6 +245,9 @@ def test_constraint_validation():
         TokenConstraint(tag_in=frozenset({"XXX"}))
     with pytest.raises(ValueError):
         TokenConstraint(lemma_in=frozenset({"take place"}), repeat=Repeat.STAR)
+    for field in ("lemma_in", "surface_in", "tag_in"):  # would match no token
+        with pytest.raises(ValueError, match="at least one value"):
+            TokenConstraint(**{field: frozenset()})
 
 
 def test_lemma_constraint_is_lowercased_like_corpus_lemmas():
@@ -283,6 +287,29 @@ def test_optional_atom_consumes_at_most_one_token():
     two = sent(("during", "ADP"), ("the", "DET"), ("the", "DET"), ("war", "NOUN"))
     assert [h.cue_id for h in hits_of(one, cs)] == ["X-1"]
     assert hits_of(two, cs) == []
+
+
+def test_patterns_compile_once_per_cue_set():
+    cs = builtin_cue_set("EN").with_all_enabled()  # a fresh copy, not yet compiled
+    hits_of(sent(("during", "ADP"), ("the", "DET"), ("war", "NOUN")), cs)
+    patterns = cs._compiled.patterns
+    before = dict(patterns)
+    # "carry" brings a token mask that no earlier chunk held
+    s = sent(("they", "PRON"), ("carry", "VERB"), ("out", "ADP"), ("the", "DET"),
+             ("war", "NOUN"))
+    assert hits_of(s, cs) == [CueHit("EN-8", "war", 4)]
+    assert cs._compiled.patterns is patterns
+    assert all(patterns[policy] is before[policy] for policy in before)
+    assert sorted(before) == [False, True]  # both policies, built before matching
+
+
+def test_validate_templates_builds_each_pattern_once_per_policy(monkeypatch):
+    built = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: built.append(args) or compile_(*args))
+    validate_templates("EN")  # matches one template at a time on a fresh cue set
+    assert len(built) == 2 * len(builtin_cue_set("EN").rules)
+    assert len(set(built)) == len(built)
 
 
 # --- the compiled matcher against the backtracking reference ------------------
@@ -408,6 +435,20 @@ def test_compiled_matcher_equals_reference_on_builtin_rules(language):
     sentences = _synth_sentences(language, seed=3)
     for cue_set in cue_sets:
         assert_same_hits(sentences, cue_set)
+
+
+def test_compiled_matcher_equals_reference_past_latin1():
+    words = [f"w{i}" for i in range(20)]
+    tags = sorted(COARSE_TAGS - {"NOUN"})
+    lines = [f"L-{i}\tpositive\tlemma={w} TARGET" for i, w in enumerate(words)]
+    lines += [f"T-{tag}\tpositive\ttag={tag} TARGET" for tag in tags]
+    cs = load_cue_set(lines, "EN")
+    rng = random.Random(5)
+    sentences = [Sentence(tuple(
+        TaggedToken("x", rng.choice(words + ["other"]), rng.choice(tags + ["NOUN"] * 4))
+        for _ in range(rng.randint(1, 8)))) for _ in range(300)]
+    assert_same_hits(sentences, cs)
+    assert max(map(ord, cs._compiled.chars.values())) > 255  # past Latin-1
 
 
 # a small vocabulary, so that generated rules and sentences meet often
