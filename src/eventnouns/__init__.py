@@ -11,10 +11,10 @@ else lives in its module (``eventnouns.cues``, ``eventnouns.dtree``, ...).
 
 from .corpus import read_tagged_file
 from .cues import builtin_cue_set
-from .data import english_gold
 from .dtree import TreeParams
 from .evaluation import cross_validate, precision_curve
 from .features import attach_labels, extract_features
+from .gold import english_gold
 
 __all__ = [
     "attach_labels",

@@ -12,10 +12,10 @@ import itertools
 import os
 import sys
 
-from . import data as data_mod
 from . import dtree, evaluation, features
 from .corpus import CorpusParseError, read_tagged_file
 from .cues import TARGET_FIRST_NOUN, TARGET_LAST_NOUN, builtin_cue_set, read_cue_file
+from .gold import english_gold, load_gold, write_gold_csv
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -82,10 +82,10 @@ def _resolve_gold(args):
     if args.builtin_gold:
         if args.lang != "EN":
             raise UsageError("--builtin-gold is only available for --lang EN")
-        return data_mod.english_gold()
+        return english_gold()
     if args.gold:
         _check_files([args.gold])
-        return data_mod.load_gold(args.gold, language=args.lang)
+        return load_gold(args.gold, language=args.lang)
     return None
 
 
@@ -232,6 +232,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # the generator is compiled only for the command that runs it
+    from . import data as data_mod
+
     silence_event = args.silence if args.silence_event is None else args.silence_event
     silence_non_event = (args.silence if args.silence_non_event is None
                          else args.silence_non_event)
@@ -246,7 +249,7 @@ def _cmd_synth(args) -> int:
     corpus_path = os.path.join(args.out, "corpus.tsv")
     with open(corpus_path, "w", encoding="utf-8") as fh:
         fh.write(result.corpus_text)
-    data_mod.write_gold_csv(result.gold, os.path.join(args.out, "gold.csv"))
+    write_gold_csv(result.gold, os.path.join(args.out, "gold.csv"))
     data_mod.write_draw_log_csv(result.draw_log,
                                 os.path.join(args.out, "drawlog.csv"))
     print(f"lemmas: {len(result.gold)}")

@@ -15,11 +15,8 @@ variance is just noise.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-log = logging.getLogger(__name__)
 
 COARSE_TAGS = frozenset({
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "ADV", "DET",
@@ -46,10 +43,12 @@ def check_tag(tag: str) -> None:
 
 
 class CorpusParseError(ValueError):
-    """A malformed corpus line. Carries the 1-based line number."""
+    """A malformed corpus line. Carries the 1-based line number; the message
+    begins with the file's path when the line came from a file."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, message: str, line_number: int, path: str = ""):
+        where = f"{path}: line {line_number}" if path else f"line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 
@@ -96,6 +95,12 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
     is skipped with a warning. A trailing sentence without a final blank
     line is still emitted.
     """
+    return _parse_lines(lines, strict, "")
+
+
+def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sentence]:
+    """The parser behind both readers; a non-empty ``path`` begins each
+    error and warning it gives."""
     pending: list[TaggedToken] = []
     # a repeated token line reuses its token and skips validation; bad
     # lines never enter, so each of their occurrences is reported
@@ -116,13 +121,13 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
         fields = line.split("\t")
         if len(fields) != 3:
             _bad_line(f"expected 3 tab-separated fields, got {len(fields)}",
-                      line_number, strict)
+                      line_number, strict, path)
             continue
         surface, lemma, tag = fields
         try:
             token = TaggedToken(surface, lemma.lower(), tag)
         except ValueError as exc:
-            _bad_line(str(exc), line_number, strict)
+            _bad_line(str(exc), line_number, strict, path)
             continue
         pending.append(token)
         if len(interned) < INTERN_LIMIT:
@@ -131,16 +136,35 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
         yield Sentence(tuple(pending))
 
 
-def _bad_line(message: str, line_number: int, strict: bool) -> None:
+def _bad_line(message: str, line_number: int, strict: bool, path: str) -> None:
     if strict:
-        raise CorpusParseError(message, line_number)
-    log.warning("skipping corpus line %d: %s", line_number, message)
+        raise CorpusParseError(message, line_number, path)
+    # imported here, as only a lenient parse that meets a bad line needs it
+    import logging
+    logging.getLogger(__name__).warning(
+        "%sskipping corpus line %d: %s", f"{path}: " if path else "",
+        line_number, message)
 
 
 def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
-    """Open ``path`` as UTF-8 and yield its sentences."""
-    with open(path, encoding="utf-8") as fh:
-        yield from parse_tagged_corpus(fh, strict=strict)
+    """Open ``path`` as UTF-8 and yield its sentences.
+
+    Every error and warning begins with ``path``. A line that is not UTF-8
+    raises ``ValueError`` with its line number, in lenient mode too.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from _parse_lines(fh, strict, path)
+    except UnicodeDecodeError:
+        # a text file decodes a chunk ahead of the line it returns, so the
+        # failed read does not tell the line: decode again line by line
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for line_number, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}: line {line_number}: {exc}") from None
+        raise
 
 
 def serialize_corpus(sentences: Iterable[Sentence]) -> str:

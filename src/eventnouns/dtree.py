@@ -16,11 +16,9 @@ counts, one per label, scoring each boundary with a two-count entropy.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
 from .features import FeatureVector, LABELS, NON_EVENT
@@ -191,6 +189,9 @@ def pessimistic_upper_bound(errors: int, n: int, confidence_factor: float) -> fl
         return 1.0 - confidence_factor ** (1.0 / n)
     if errors >= n:
         return 1.0
+    # imported here: statistics pulls in fractions and decimal, which only
+    # pruning needs
+    from statistics import NormalDist
     z = NormalDist().inv_cdf(1.0 - confidence_factor)
     f = (errors + 0.5) / n
     if f >= 1.0:
@@ -408,6 +409,7 @@ def tree_from_dict(data: dict) -> TreeNode:
 
 def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
                params: TreeParams, language: str = "") -> None:
+    import json
     payload = {
         "format": "eventnouns-tree/1",
         "language": language,
@@ -422,6 +424,7 @@ def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
 
 def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     """Returns (tree, cue_ids, params, language)."""
+    import json
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":

@@ -20,8 +20,6 @@ from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import builtin_cue_set, match_sentence
 from eventnouns.data import (
     SynthParams,
-    _ENGLISH_EVENT,
-    _ENGLISH_NON_EVENT,
     _TEMPLATES,
     english_gold,
     generate_synthetic_corpus,
@@ -49,6 +47,7 @@ from eventnouns.features import (
     attach_labels,
     extract_features,
 )
+from eventnouns.gold import _ENGLISH_EVENT, _ENGLISH_NON_EVENT
 from test_dtree import oracle_best_split
 
 

@@ -70,6 +70,72 @@ def test_extract_malformed_line_is_pipeline_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def cli_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "eventnouns.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def two_bad_corpora(tmp_path):
+    """Two corpus files, each with one malformed line, at lines 7 and 2."""
+    first = write_corpus(tmp_path, TINY_CORPUS.replace(
+        "happened\thappen\tVERB\n", "happened happen VERB\n"), name="first.tsv")
+    second = write_corpus(tmp_path, "the\tthe\tDET\nbad line\n", name="second.tsv")
+    return first, second
+
+
+def test_strict_corpus_error_names_the_file(tmp_path):
+    _, second = two_bad_corpora(tmp_path)
+    out = tmp_path / "d.csv"
+    result = cli_process("extract", "--corpus", write_corpus(tmp_path),
+                         "--corpus", second, "--builtin-gold", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == (f"corpus error: {second}: line 2: "
+                             "expected 3 tab-separated fields, got 1\n")
+    assert not out.exists()
+
+
+def test_lenient_warnings_name_the_file(tmp_path):
+    first, second = two_bad_corpora(tmp_path)
+    out = tmp_path / "d.csv"
+    result = cli_process("extract", "--corpus", first, "--corpus", second,
+                         "--builtin-gold", "--lenient", "--out", str(out))
+    assert result.returncode == 0
+    assert result.stderr == (
+        f"{first}: skipping corpus line 7: expected 3 tab-separated fields, got 1\n"
+        f"{second}: skipping corpus line 2: expected 3 tab-separated fields, got 1\n")
+    assert out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--lenient"]], ids=["strict", "lenient"])
+def test_non_utf8_corpus_names_file_and_line(tmp_path, flags):
+    corpus = tmp_path / "latin1.tsv"
+    # the whole file decodes with line 1's read, so line 17 must be found again
+    corpus.write_bytes(TINY_CORPUS.encode("utf-8") + b"\ncaf\xe9\tcaf\xe9\tNOUN\n")
+    out = tmp_path / "d.csv"
+    result = cli_process("extract", "--corpus", str(corpus), "--builtin-gold",
+                         *flags, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == (f"error: {corpus}: line 17: 'utf-8' codec can't decode "
+                             "byte 0xe9 in position 3: invalid continuation byte\n")
+    assert not out.exists()
+
+
+def test_start_up_imports_only_what_every_command_uses():
+    # json, statistics and logging are imported where they are used, and the
+    # generator only by synth; each would add to every command's start-up
+    code = ("import sys; import eventnouns.cli; "
+            "from eventnouns.cues import builtin_cue_set; "
+            "eventnouns.cli.build_parser(); builtin_cue_set('EN'); "
+            "print([m for m in ('logging', 'json', 'statistics', 'eventnouns.data')"
+            " if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_extract_needs_some_target_source(tmp_path, capsys):
     corpus = write_corpus(tmp_path)
     code = run(["extract", "--corpus", corpus, "--out", str(tmp_path / "d.csv")])

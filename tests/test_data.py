@@ -8,8 +8,6 @@ from eventnouns.cues import builtin_cue_set, match_sentence
 from eventnouns.data import (
     GoldStandard,
     SynthParams,
-    _ENGLISH_EVENT,
-    _ENGLISH_NON_EVENT,
     _TEMPLATES,
     draw_log_counts,
     english_gold,
@@ -21,6 +19,7 @@ from eventnouns.data import (
     write_gold_csv,
 )
 from eventnouns.features import EVENT, NON_EVENT, extract_features
+from eventnouns.gold import _ENGLISH_EVENT, _ENGLISH_NON_EVENT
 
 
 # --- gold standards -----------------------------------------------------------

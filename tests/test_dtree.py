@@ -192,6 +192,19 @@ def test_bound_stays_in_unit_interval():
         assert 0.0 <= pessimistic_upper_bound(errors, 20, 0.25) <= 1.0
 
 
+@pytest.mark.parametrize("errors, n, cf, expected", [
+    (1, 10, 0.25, 0.241256150100949),
+    (3, 7, 0.05, 0.7639899124268491),
+    (5, 40, 0.9, 0.08192754927276238),
+    (2, 3, 0.5, 0.8333333333333334),
+    (7, 8, 0.25, 0.9748438942569028),
+    (0, 12, 0.25, 0.10910128185966073),
+])
+def test_bound_floats_are_pinned(errors, n, cf, expected):
+    # exact: pruning decisions, and so every tree, depend on these floats
+    assert pessimistic_upper_bound(errors, n, cf) == expected
+
+
 def test_bound_validates_inputs():
     with pytest.raises(ValueError):
         pessimistic_upper_bound(-1, 5, 0.25)
