@@ -8,6 +8,7 @@ so identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # the objects the imports made live as long as the process: moved out of
+    # the collector's generations, no collection during the command rescans them
+    gc.freeze()
     sys.exit(main())
 
 

@@ -16,6 +16,7 @@ variance is just noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 COARSE_TAGS = frozenset({
@@ -26,6 +27,9 @@ COARSE_TAGS = frozenset({
 # distinct token lines kept for reuse per parse; the limit bounds the dict,
 # and past it a new line costs one failed lookup
 INTERN_LIMIT = 4096
+# characters a file read decodes at once; a line that straddles two blocks
+# is joined before parsing
+BLOCK_CHARS = 16384
 
 
 def coarse_tag(tag: str) -> str:
@@ -95,18 +99,17 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
     is skipped with a warning. A trailing sentence without a final blank
     line is still emitted.
     """
-    return _parse_lines(lines, strict, "")
+    return _parse_lines((raw.rstrip("\r\n") for raw in lines), strict, "")
 
 
 def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sentence]:
-    """The parser behind both readers; a non-empty ``path`` begins each
-    error and warning it gives."""
+    """The parser behind both readers, over lines without their endings;
+    a non-empty ``path`` begins each error and warning it gives."""
     pending: list[TaggedToken] = []
     # a repeated token line reuses its token and skips validation; bad
     # lines never enter, so each of their occurrences is reported
     interned: dict[str, TaggedToken] = {}
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+    for line_number, line in enumerate(lines, start=1):
         token = interned.get(line)
         if token is not None:
             pending.append(token)
@@ -149,15 +152,17 @@ def _bad_line(message: str, line_number: int, strict: bool, path: str) -> None:
 def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
     """Open ``path`` as UTF-8 and yield its sentences.
 
-    Every error and warning begins with ``path``. A line that is not UTF-8
-    raises ``ValueError`` with its line number, in lenient mode too.
+    The file is decoded and split into lines ``BLOCK_CHARS`` characters at
+    a time. Every error and warning begins with ``path``. A line that is
+    not UTF-8 raises ``ValueError`` with its line number, in lenient mode
+    too.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from _parse_lines(fh, strict, path)
+            yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path)
     except UnicodeDecodeError:
-        # a text file decodes a chunk ahead of the line it returns, so the
-        # failed read does not tell the line: decode again line by line
+        # a read decodes a chunk of bytes ahead of the lines it returns, so
+        # the failed read does not tell the line: decode again line by line
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for line_number, line in enumerate(fh, start=1):
                 try:
@@ -165,6 +170,21 @@ def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
                 except UnicodeDecodeError as exc:
                     raise ValueError(f"{path}: line {line_number}: {exc}") from None
         raise
+
+
+def _line_blocks(fh) -> Iterator[list[str]]:
+    """The lines of a text file without their endings, a block at a time.
+
+    Universal newlines turn CRLF into LF as the file decodes, so splitting
+    on LF leaves no CR behind. The last line of a block is carried into the
+    next, and yielded at the end of the file if it is not empty."""
+    carry = ""
+    while block := fh.read(BLOCK_CHARS):
+        lines = (carry + block).split("\n")
+        carry = lines.pop()
+        yield lines
+    if carry:
+        yield [carry]
 
 
 def serialize_corpus(sentences: Iterable[Sentence]) -> str:

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter, methodcaller, sub
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag
 
@@ -154,11 +155,19 @@ class CueSet:
         return _CompiledCueSet(self)
 
 
-@dataclass(frozen=True)
-class CueHit:
+class CueHit(NamedTuple):
     cue_id: str
     lemma: str
     token_index: int
+
+
+class EncodedChunk(NamedTuple):
+    """A chunk of sentences as :func:`encode` gives it to the matcher."""
+
+    text: str              # one character per token mask
+    tokens: list           # the token of each character; a boundary ends each sentence
+    indices: list[int]     # each token's index in its own sentence
+    nouns: frozenset[str]  # the characters of tokens tagged NOUN, refined or not
 
 
 # --- matching -------------------------------------------------------------
@@ -180,6 +189,20 @@ class _TagMasks(dict):
                 mask |= bit
         self[tag] = mask
         return mask
+
+
+class _TagChars(dict):
+    """Tag -> character of the tokens whose lemma has one mask, filled in as
+    tags are seen; for cue sets without surface atoms."""
+
+    def __init__(self, compiled: _CompiledCueSet, lemma_mask: int):
+        super().__init__()
+        self.compiled, self.lemma_mask = compiled, lemma_mask
+
+    def __missing__(self, tag: str) -> str:
+        char = self.compiled.chars[self.lemma_mask & self.compiled.tag_masks[tag]]
+        self[tag] = char
+        return char
 
 
 def _field_table(constraints, field: str) -> tuple[int, dict[str, int]]:
@@ -206,13 +229,18 @@ class _CompiledCueSet:
     """The enabled rules of a cue set, compiled to regular expressions.
 
     Each distinct constraint of the enabled rules gets one bit, and so does
-    each word of a multi-word literal. A token's atom mask, the bits of the
-    constraints it satisfies, is the AND of one table lookup per field; the
-    lemma and surface tables hold only the values the rules name, and a tag
-    no rule names has its coarse tag's mask, so every mask is known here. A
-    token is encoded as the character of its mask, and an atom as the class
-    of those whose masks hold its bit: never empty, as a constraint's own
-    table entries all hold its bit. Each rule compiles once per policy.
+    each word of a multi-word literal. The target constraint ``tag=NOUN``
+    always has one, with every rule disabled too: ``nouns`` holds the
+    characters of the masks with that bit. A token's atom mask, the bits of
+    the constraints it satisfies, is the AND of one table lookup per field;
+    the lemma and surface tables hold only the values the rules name, and a
+    tag no rule names has its coarse tag's mask, so every mask is known
+    here. A token is encoded as the character of its mask, and an atom as
+    the class of those whose masks hold its bit: never empty, as a
+    constraint's own table entries all hold its bit. Where no rule has a
+    surface atom, ``lemma_chars`` and ``default_chars`` give a token's
+    character from its lemma and then its tag. Each rule compiles once per
+    policy.
     """
 
     def __init__(self, cue_set: CueSet):
@@ -220,6 +248,8 @@ class _CompiledCueSet:
 
         def bit(constraint: TokenConstraint) -> int:
             return bits.setdefault(constraint, 1 << len(bits))
+
+        noun = bit(TokenConstraint(tag_in=frozenset({"NOUN"})))
 
         # (rule id, atoms); an atom is (bit, repeat, the word bits of each
         # multi-word literal, shortest first, is target)
@@ -245,28 +275,15 @@ class _CompiledCueSet:
                  for surface in (self.surface_default, *self.surface_masks.values())}
         # code points below 256 keep each class a small bitmap in ``re``
         self.chars = {mask: chr(k) for k, mask in enumerate(sorted(masks))}
+        self.nouns = frozenset(c for mask, c in self.chars.items() if mask & noun)
+        self.lemma_chars = {lemma: _TagChars(self, mask)
+                            for lemma, mask in self.lemma_masks.items()}
+        self.default_chars = _TagChars(self, self.lemma_default)
         classes = {bit: "[" + "".join(re.escape(c) for mask, c in self.chars.items()
                                       if mask & bit) + "]" for bit in bits.values()}
         self.patterns = {last_noun: [(rule_id, _pattern(atoms, classes.__getitem__, last_noun))
                                      for rule_id, atoms in self.rules]
                          for last_noun in (False, True)}
-
-    def encode(self, sentences: Sequence[Sentence]) -> tuple[str, list, list[int]]:
-        """The chunk as text, with its tokens, each sentence followed by the
-        boundary, and the offset of each sentence in both."""
-        tokens, starts = [], []
-        for sentence in sentences:
-            starts.append(len(tokens))
-            tokens += sentence.tokens
-            tokens.append(_BOUNDARY)
-        lemma_masks, tag_masks = self.lemma_masks, self.tag_masks
-        masks = [lemma_masks.get(token.lemma, self.lemma_default) & tag_masks[token.tag]
-                 for token in tokens]
-        if self.surface_masks:
-            surface_masks, surface_default = self.surface_masks, self.surface_default
-            masks = [mask & surface_masks.get(token.surface.lower(), surface_default)
-                     for mask, token in zip(masks, tokens)]
-        return "".join(map(self.chars.__getitem__, masks)), tokens, starts
 
 
 def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
@@ -291,9 +308,66 @@ def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
     return re.compile(head + "(?=" + "".join(parts) + ")")
 
 
+_lemma = attrgetter("lemma")
+_group_end = methodcaller("end", 1)
+
+
+def encode(sentences: Sequence[Sentence], cue_set: CueSet) -> EncodedChunk:
+    """Encode a chunk of sentences for :func:`match_encoded`.
+
+    Each token becomes the character of its atom mask, and each sentence is
+    followed by a boundary that no atom holds. Compiles the cue set on its
+    first call.
+    """
+    compiled = cue_set._compiled
+    tokens: list = []
+    indices: list[int] = []
+    for sentence in sentences:
+        sentence_tokens = sentence.tokens
+        tokens += sentence_tokens
+        tokens.append(_BOUNDARY)
+        indices += range(len(sentence_tokens) + 1)
+    if compiled.surface_masks:
+        lemma_masks, tag_masks = compiled.lemma_masks, compiled.tag_masks
+        surface_masks, surface_default = compiled.surface_masks, compiled.surface_default
+        masks = [lemma_masks.get(token.lemma, compiled.lemma_default) & tag_masks[token.tag]
+                 & surface_masks.get(token.surface.lower(), surface_default)
+                 for token in tokens]
+        text = "".join(map(compiled.chars.__getitem__, masks))
+    else:
+        # two lookups per token and no mask built: each AND of masks above
+        # 256 would make a new int
+        lemma_chars, default_chars = compiled.lemma_chars, compiled.default_chars
+        text = "".join([lemma_chars.get(token.lemma, default_chars)[token.tag]
+                        for token in tokens])
+    return EncodedChunk(text, tokens, indices, compiled.nouns)
+
+
+def match_encoded(encoded: EncodedChunk, cue_set: CueSet, *,
+                  target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
+    """Match every enabled rule against a chunk that :func:`encode` gave
+    for the same cue set; the hits are those of :func:`match_sentences`.
+
+    Each rule's hits are built with ``map`` from the ends of its matches,
+    with no Python loop over them.
+    """
+    if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
+        raise ValueError(f"unknown target policy: {target_policy!r}")
+    text, tokens, indices, _ = encoded
+    hits: list[CueHit] = []
+    for rule_id, pattern in cue_set._compiled.patterns[target_policy == TARGET_LAST_NOUN]:
+        # the target is the last token of group 1
+        bounds = list(map(sub, map(_group_end, pattern.finditer(text)), itertools.repeat(1)))
+        hits += map(CueHit, itertools.repeat(rule_id),
+                    map(_lemma, map(tokens.__getitem__, bounds)),
+                    map(indices.__getitem__, bounds))
+    return hits
+
+
 def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
                     target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
-    """Match every enabled rule against each sentence of a chunk.
+    """Match every enabled rule against each sentence of a chunk:
+    :func:`encode`, then :func:`match_encoded`.
 
     For each rule the scan tries every start position left to right; each
     successful match emits one hit for the target token, so overlapping
@@ -309,16 +383,7 @@ def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
 
     Each cue set is compiled on its first call and keeps its compiled form.
     """
-    if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
-        raise ValueError(f"unknown target policy: {target_policy!r}")
-    text, tokens, starts = cue_set._compiled.encode(sentences)
-    hits = []
-    for rule_id, pattern in cue_set._compiled.patterns[target_policy == TARGET_LAST_NOUN]:
-        for match in pattern.finditer(text):
-            bound = match.end(1) - 1
-            index = bound - starts[bisect_right(starts, bound) - 1]
-            hits.append(CueHit(rule_id, tokens[bound].lemma, index))
-    return hits
+    return match_encoded(encode(sentences, cue_set), cue_set, target_policy=target_policy)
 
 
 def match_sentence(sentence: Sentence, cue_set: CueSet, *,

