@@ -190,11 +190,23 @@ def _line_blocks(fh) -> Iterator[list[str]]:
 def serialize_corpus(sentences: Iterable[Sentence]) -> str:
     """Render sentences back to the vertical format.
 
-    ``parse_tagged_corpus(serialize_corpus(s).splitlines())`` reproduces the
-    token fields exactly.
+    ``parse_tagged_corpus(serialize_corpus(s).split("\\n"))`` reproduces the
+    token fields exactly, and so does reading the text back from a file.
+    ``str.splitlines`` does not: it also breaks at characters such as
+    U+2028 or ``\\x0b``, which a surface may hold. A token whose line would
+    not read back, as a field holds a tab, ``\\n`` or ``\\r`` or the surface
+    starts with ``#``, raises ``ValueError``.
     """
     blocks = []
+    n_tokens = 0
     for sentence in sentences:
         blocks.append("\n".join(f"{t.surface}\t{t.lemma}\t{t.tag}" for t in sentence))
-    return "\n\n".join(blocks) + "\n"
-
+        n_tokens += len(sentence)
+    text = "\n\n".join(blocks) + "\n"
+    # a field holding a tab or a line feed adds to the format's own count
+    if blocks and (text.count("\t") != 2 * n_tokens
+                   or text.count("\n") != n_tokens + len(blocks) - 1
+                   or "\r" in text or text.startswith("#") or "\n#" in text):
+        raise ValueError("a token's line would not read back: a field holds a tab, "
+                         "\\n or \\r, or a surface starts with '#'")
+    return text

@@ -33,9 +33,9 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
-from operator import attrgetter, methodcaller, sub
+from operator import add, attrgetter, invert, methodcaller, sub
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag
 
@@ -46,6 +46,8 @@ TARGET_FIRST_NOUN = "first"
 TARGET_LAST_NOUN = "last"
 
 MAX_STAR = 3
+# tokens per encoded chunk: a regex call per rule pays off, memory stays flat
+CHUNK_TOKENS = 2048
 
 
 class Repeat(enum.Enum):
@@ -164,9 +166,8 @@ class CueHit(NamedTuple):
 class EncodedChunk(NamedTuple):
     """A chunk of sentences as :func:`encode` gives it to the matcher."""
 
-    text: str              # one character per token mask
-    tokens: list           # the token of each character; a boundary ends each sentence
-    indices: list[int]     # each token's index in its own sentence
+    text: str              # one character per token mask; mask 0 ends each sentence
+    tokens: list           # the token of each character, the boundaries included
     nouns: frozenset[str]  # the characters of tokens tagged NOUN, refined or not
 
 
@@ -231,16 +232,17 @@ class _CompiledCueSet:
     Each distinct constraint of the enabled rules gets one bit, and so does
     each word of a multi-word literal. The target constraint ``tag=NOUN``
     always has one, with every rule disabled too: ``nouns`` holds the
-    characters of the masks with that bit. A token's atom mask, the bits of
-    the constraints it satisfies, is the AND of one table lookup per field;
-    the lemma and surface tables hold only the values the rules name, and a
-    tag no rule names has its coarse tag's mask, so every mask is known
-    here. A token is encoded as the character of its mask, and an atom as
-    the class of those whose masks hold its bit: never empty, as a
-    constraint's own table entries all hold its bit. Where no rule has a
-    surface atom, ``lemma_chars`` and ``default_chars`` give a token's
-    character from its lemma and then its tag. Each rule compiles once per
-    policy.
+    characters of the masks with that bit. So does the wildcard, which every
+    token holds and the sentence boundary lacks: mask 0 is the boundary's
+    alone. A token's atom mask, the bits of the constraints it satisfies, is
+    the AND of one table lookup per field; the lemma and surface tables hold
+    only the values the rules name, and a tag no rule names has its coarse
+    tag's mask, so every mask is known here. A token is encoded as the
+    character of its mask, and an atom as the class of those whose masks
+    hold its bit: never empty, as a constraint's own table entries all hold
+    its bit. Where no rule has a surface atom, ``lemma_chars`` and
+    ``default_chars`` give a token's character from its lemma and then its
+    tag. Each rule compiles once per policy.
     """
 
     def __init__(self, cue_set: CueSet):
@@ -250,6 +252,7 @@ class _CompiledCueSet:
             return bits.setdefault(constraint, 1 << len(bits))
 
         noun = bit(TokenConstraint(tag_in=frozenset({"NOUN"})))
+        bit(TokenConstraint())
 
         # (rule id, atoms); an atom is (bit, repeat, the word bits of each
         # multi-word literal, shortest first, is target)
@@ -285,6 +288,21 @@ class _CompiledCueSet:
                                      for rule_id, atoms in self.rules]
                          for last_noun in (False, True)}
 
+    def text(self, tokens: list) -> str:
+        """The character of each token's mask."""
+        if self.surface_masks:
+            lemma_masks, tag_masks = self.lemma_masks, self.tag_masks
+            surface_masks, surface_default = self.surface_masks, self.surface_default
+            masks = [lemma_masks.get(token.lemma, self.lemma_default) & tag_masks[token.tag]
+                     & surface_masks.get(token.surface.lower(), surface_default)
+                     for token in tokens]
+            return "".join(map(self.chars.__getitem__, masks))
+        # two lookups per token and no mask built: each AND of masks above
+        # 256 would make a new int
+        lemma_chars, default_chars = self.lemma_chars, self.default_chars
+        return "".join([lemma_chars.get(token.lemma, default_chars)[token.tag]
+                        for token in tokens])
+
 
 def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
     """One rule's pattern for one target policy, given each bit's class."""
@@ -312,35 +330,27 @@ _lemma = attrgetter("lemma")
 _group_end = methodcaller("end", 1)
 
 
-def encode(sentences: Sequence[Sentence], cue_set: CueSet) -> EncodedChunk:
-    """Encode a chunk of sentences for :func:`match_encoded`.
+def encode(sentences: Iterable[Sentence], cue_set: CueSet) -> Iterator[EncodedChunk]:
+    """Encode sentences for :func:`match_encoded`, a chunk at a time.
 
-    Each token becomes the character of its atom mask, and each sentence is
-    followed by a boundary that no atom holds. Compiles the cue set on its
-    first call.
+    A chunk ends after the sentence that brings it to ``CHUNK_TOKENS``
+    tokens, and the last one after the last sentence; no sentences give
+    one empty chunk, so the matcher still checks its arguments. Each token
+    becomes the character of its atom mask, and each sentence is followed
+    by a boundary, the character of mask 0. Compiles the cue set on its
+    first chunk.
     """
     compiled = cue_set._compiled
     tokens: list = []
-    indices: list[int] = []
+    size = 0
     for sentence in sentences:
-        sentence_tokens = sentence.tokens
-        tokens += sentence_tokens
+        if size >= CHUNK_TOKENS:
+            yield EncodedChunk(compiled.text(tokens), tokens, compiled.nouns)
+            tokens, size = [], 0
+        tokens += sentence.tokens
         tokens.append(_BOUNDARY)
-        indices += range(len(sentence_tokens) + 1)
-    if compiled.surface_masks:
-        lemma_masks, tag_masks = compiled.lemma_masks, compiled.tag_masks
-        surface_masks, surface_default = compiled.surface_masks, compiled.surface_default
-        masks = [lemma_masks.get(token.lemma, compiled.lemma_default) & tag_masks[token.tag]
-                 & surface_masks.get(token.surface.lower(), surface_default)
-                 for token in tokens]
-        text = "".join(map(compiled.chars.__getitem__, masks))
-    else:
-        # two lookups per token and no mask built: each AND of masks above
-        # 256 would make a new int
-        lemma_chars, default_chars = compiled.lemma_chars, compiled.default_chars
-        text = "".join([lemma_chars.get(token.lemma, default_chars)[token.tag]
-                        for token in tokens])
-    return EncodedChunk(text, tokens, indices, compiled.nouns)
+        size += len(sentence.tokens)
+    yield EncodedChunk(compiled.text(tokens), tokens, compiled.nouns)
 
 
 def match_encoded(encoded: EncodedChunk, cue_set: CueSet, *,
@@ -349,33 +359,38 @@ def match_encoded(encoded: EncodedChunk, cue_set: CueSet, *,
     for the same cue set; the hits are those of :func:`match_sentences`.
 
     Each rule's hits are built with ``map`` from the ends of its matches,
-    with no Python loop over them.
+    with no Python loop over them; a hit's ``token_index`` is its distance
+    from the boundary before it.
     """
     if target_policy not in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         raise ValueError(f"unknown target policy: {target_policy!r}")
-    text, tokens, indices, _ = encoded
+    text, tokens, _ = encoded
+    boundaries, zeros = itertools.repeat(cue_set._compiled.chars[0]), itertools.repeat(0)
     hits: list[CueHit] = []
     for rule_id, pattern in cue_set._compiled.patterns[target_policy == TARGET_LAST_NOUN]:
         # the target is the last token of group 1
         bounds = list(map(sub, map(_group_end, pattern.finditer(text)), itertools.repeat(1)))
+        # bound + ~r is bound - r - 1: the tokens after the boundary at r,
+        # or from the start of the chunk, where rfind gives -1
+        indices = map(add, bounds, map(invert, map(text.rfind, boundaries, zeros, bounds)))
         hits += map(CueHit, itertools.repeat(rule_id),
-                    map(_lemma, map(tokens.__getitem__, bounds)),
-                    map(indices.__getitem__, bounds))
+                    map(_lemma, map(tokens.__getitem__, bounds)), indices)
     return hits
 
 
-def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
+def match_sentences(sentences: Iterable[Sentence], cue_set: CueSet, *,
                     target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
-    """Match every enabled rule against each sentence of a chunk:
-    :func:`encode`, then :func:`match_encoded`.
+    """Match every enabled rule against each sentence: :func:`encode`, then
+    :func:`match_encoded` on each chunk.
 
     For each rule the scan tries every start position left to right; each
     successful match emits one hit for the target token, so overlapping
     matches of the same rule at later starts are all reported. Optional and
     starred atoms and multi-word literals try their shortest consumption
     first and backtrack into longer ones. Matching never crosses sentence
-    boundaries. Hits come rule by rule, then by start; a hit's
-    ``token_index`` counts from the start of its own sentence.
+    boundaries. Hits come chunk by chunk, and within a chunk rule by rule,
+    then by start; a hit's ``token_index`` counts from the start of its own
+    sentence. ``sentences`` may be any iterable, ``(sentence,)`` included.
 
     The default target policy binds the first noun after the pattern
     prefix, compound head or not; ``TARGET_LAST_NOUN`` binds the last noun
@@ -383,13 +398,8 @@ def match_sentences(sentences: Sequence[Sentence], cue_set: CueSet, *,
 
     Each cue set is compiled on its first call and keeps its compiled form.
     """
-    return match_encoded(encode(sentences, cue_set), cue_set, target_policy=target_policy)
-
-
-def match_sentence(sentence: Sentence, cue_set: CueSet, *,
-                   target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
-    """:func:`match_sentences` on a chunk of one sentence."""
-    return match_sentences((sentence,), cue_set, target_policy=target_policy)
+    return [hit for encoded in encode(sentences, cue_set)
+            for hit in match_encoded(encoded, cue_set, target_policy=target_policy)]
 
 
 # --- rule file format -----------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Sentence, TaggedToken, serialize_corpus
-from .cues import NEGATIVE, POSITIVE, CueSet, builtin_cue_set, match_sentence
+from .cues import NEGATIVE, POSITIVE, CueSet, builtin_cue_set, match_sentences
 from .features import EVENT, NON_EVENT, write_csv
 # the generator uses GoldStandard; the other three are re-exported
 from .gold import GoldStandard, english_gold, load_gold, write_gold_csv
@@ -128,7 +128,7 @@ def validate_templates(language: str) -> None:
         template = _TEMPLATES.get(rule.id)
         if template is None:
             raise ValueError(f"no template for rule {rule.id}")
-        hits = match_sentence(instantiate_template(template, probe), cue_set)
+        hits = match_sentences((instantiate_template(template, probe),), cue_set)
         own = [h for h in hits if h.cue_id == rule.id]
         on_target = [h for h in hits if h.lemma == probe]
         if len(own) != 1 or own[0].lemma != probe or on_target != own:
@@ -137,7 +137,7 @@ def validate_templates(language: str) -> None:
                 f"hits on target {[(h.cue_id, h.lemma) for h in on_target]}, "
                 f"own-rule hits {[(h.cue_id, h.lemma) for h in own]}")
     for index, template in enumerate(_DISTRACTORS[language]):
-        hits = match_sentence(instantiate_template(template, probe), cue_set)
+        hits = match_sentences((instantiate_template(template, probe),), cue_set)
         on_target = [h for h in hits if h.lemma == probe]
         if on_target:
             raise ValueError(

@@ -25,8 +25,6 @@ from .cues import CueSet, TARGET_FIRST_NOUN, encode, match_encoded
 # the matcher seam: perfbench/replay.py wraps this name to time matching,
 # so extract_features calls it once per encoded chunk
 match_sentence = match_encoded
-# tokens per matched chunk: a regex call per rule pays off, memory stays flat
-CHUNK_TOKENS = 2048
 _lemma = attrgetter("lemma")
 _cue_and_lemma = itemgetter(0, 1)  # of a CueHit
 
@@ -83,6 +81,8 @@ class Dataset:
         repeated = sorted(c for c, k in Counter(self.cue_ids).items() if k > 1)
         if repeated:
             raise ValueError("duplicate cue ids in dataset: " + ", ".join(repeated))
+        if "label" in self.cue_ids:  # a CSV would read it as the label column
+            raise ValueError("cue id 'label' names the dataset's label column")
         lemmas = [v.lemma for v in self.vectors]
         if len(lemmas) != len(set(lemmas)):
             raise ValueError("duplicate lemmas in dataset")
@@ -111,9 +111,9 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
                      target_policy: str = TARGET_FIRST_NOUN) -> Dataset:
     """Run the cue matcher over a corpus and aggregate counts per lemma.
 
-    Single pass over chunks of sentences, so ``corpus`` may be a lazy
-    stream. Each chunk is encoded once; its noun totals and its hits per
-    cue and lemma are counted in C and merged into the target rows.
+    Single pass over the chunks that :func:`cues.encode` streams, so
+    ``corpus`` may be a lazy stream. Each chunk's noun totals and its hits
+    per cue and lemma are counted in C and merged into the target rows.
     Vectors come out sorted by lemma. Target lemmas never observed yield
     all-zero vectors with a zero occurrence total.
     """
@@ -123,27 +123,14 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
     position = {cue_id: i for i, cue_id in enumerate(cue_set.cue_ids)}
     counts = {lemma: [0] * cue_set.n for lemma in targets}
     totals: Counter[str] = Counter()
-
-    def count(chunk):
-        encoded = encode(chunk, cue_set)
-        text, tokens, _, nouns = encoded
+    for encoded in encode(corpus, cue_set):
+        text, tokens, nouns = encoded
         totals.update(filter(counts.__contains__, map(
             _lemma, compress(tokens, map(nouns.__contains__, text)))))
         hits = match_sentence(encoded, cue_set, target_policy=target_policy)
         for (cue_id, lemma), n in Counter(map(_cue_and_lemma, hits)).items():
             if lemma in counts:
                 counts[lemma][position[cue_id]] += n
-
-    chunk: list[Sentence] = []
-    size = 0
-    for sentence in corpus:
-        chunk.append(sentence)
-        size += len(sentence.tokens)
-        if size >= CHUNK_TOKENS:
-            count(chunk)
-            chunk, size = [], 0
-    if chunk:
-        count(chunk)
     vectors = tuple(
         FeatureVector(lemma, tuple(counts[lemma]), totals[lemma])
         for lemma in targets)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from conftest import sent
 from eventnouns.cli import main as cli_main
 from eventnouns.corpus import parse_tagged_corpus
-from eventnouns.cues import builtin_cue_set, match_sentence
+from eventnouns.cues import builtin_cue_set, match_sentences
 from eventnouns.data import (
     SynthParams,
     _TEMPLATES,
@@ -96,13 +96,13 @@ def test_criterion_2_cue_engine_fidelity():
             cue_set = builtin_cue_set(language).with_all_enabled()
             for rule in cue_set.rules:
                 sentence = instantiate_template(_TEMPLATES[rule.id], "probenoun")
-                hits = match_sentence(sentence, cue_set)
+                hits = match_sentences((sentence,), cue_set)
                 own = [h for h in hits if h.cue_id == rule.id]
                 assert len(own) == 1, f"{rule.id} fired {len(own)} times"
                 assert own[0].lemma == "probenoun"
         noise_fixture = sent(("during", "ADP"), ("the", "DET"), ("first", "ADJ"),
                              ("world", "NOUN"), ("war", "NOUN"))
-        hits = match_sentence(noise_fixture, builtin_cue_set("EN"))
+        hits = match_sentences((noise_fixture,), builtin_cue_set("EN"))
         assert [(h.cue_id, h.lemma) for h in hits] == [("EN-1", "world")]
 
 

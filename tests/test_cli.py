@@ -652,6 +652,23 @@ def test_extract_with_custom_cue_file_and_relative(tmp_path, capsys):
     assert rows["war"] == "2,0.5,EVENT"
 
 
+def test_extract_rejects_a_cue_named_label(tmp_path, capsys):
+    # its column would end the header, and every later read would take it
+    # for the label column
+    corpus = write_corpus(tmp_path)
+    cues = tmp_path / "rules.tsv"
+    cues.write_text("X-1\tpositive\tlemma=during tag=DET? TARGET\n"
+                    "label\tpositive\tlemma=the TARGET\n")
+    lemmas = tmp_path / "lemmas.txt"
+    lemmas.write_text("war\n")
+    out = tmp_path / "dataset.csv"
+    assert run(["extract", "--lang", "EN", "--corpus", corpus, "--cues", str(cues),
+                "--lemmas", str(lemmas), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: cue id 'label' names the dataset's label column\n"
+    assert not out.exists()
+
+
 def test_extract_last_noun_policy(tmp_path):
     corpus = write_corpus(
         tmp_path, "during\tduring\tADP\nthe\tthe\tDET\nworld\tworld\tNOUN\n"

@@ -155,6 +155,29 @@ def test_roundtrip_identity_on_random_corpora():
         assert parse(text) == corpus
 
 
+@pytest.mark.parametrize("token, reads_back", [
+    (TaggedToken("a\u2028b", "a", "NOUN"), True),  # str.splitlines breaks here
+    (TaggedToken("a\x0bb", "a", "NOUN"), True),
+    (TaggedToken("a", "a", "NOUN:x\ty"), False),
+    (TaggedToken("a", "a\nb", "NOUN"), False),
+    (TaggedToken("a\rb", "a", "NOUN"), False),
+    (TaggedToken("#", "#", "PUNCT"), False),  # read back as a comment
+])
+def test_serialized_token_reads_back_or_raises(tmp_path, token, reads_back):
+    war = TaggedToken("war", "war", "NOUN")
+    path = tmp_path / "corpus.tsv"
+    # the token leads the text, then a sentence after the first
+    for corpus in ([Sentence((token, war))], [sent(("the", "DET")), Sentence((token, war))]):
+        if not reads_back:
+            with pytest.raises(ValueError, match="would not read back"):
+                serialize_corpus(corpus)
+            continue
+        text = serialize_corpus(corpus)
+        path.write_bytes(text.encode("utf-8"))
+        assert list(parse_tagged_corpus(text.split("\n"))) == corpus
+        assert list(read_tagged_file(str(path))) == corpus
+
+
 def test_sentence_count_matches_blocks():
     text = "a\ta\tDET\n\n\nb\tb\tNOUN\n\nc\tc\tNOUN\n"
     assert len(parse(text)) == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sent
+from eventnouns import cues
 from eventnouns.corpus import COARSE_TAGS, Sentence, TaggedToken, parse_tagged_corpus
 from eventnouns.cues import (
     CueHit,
@@ -17,14 +18,13 @@ from eventnouns.cues import (
     TokenConstraint,
     builtin_cue_set,
     load_cue_set,
-    match_sentence,
     match_sentences,
 )
 from eventnouns.data import SynthParams, generate_synthetic_corpus, validate_templates
 
 
 def hits_of(sentence, cue_set, **kwargs):
-    return match_sentence(sentence, cue_set, **kwargs)
+    return match_sentences((sentence,), cue_set, **kwargs)
 
 
 # --- built-in sets ----------------------------------------------------------
@@ -396,16 +396,21 @@ def _reference_match_sentence(sentence, cue_set, *, target_policy=TARGET_FIRST_N
 
 def assert_same_hits(sentences, cue_set):
     """Each sentence alone gives the reference's hits in its order, and all
-    of them as one chunk give the same hits, none across a join."""
+    of them together give the same hits, ``token_index`` included, however
+    the chunks are cut; none crosses a join."""
     for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         chunk_want = Counter()
         for sentence in sentences:
             want = _reference_match_sentence(sentence, cue_set, target_policy=policy)
-            got = match_sentence(sentence, cue_set, target_policy=policy)
+            got = match_sentences((sentence,), cue_set, target_policy=policy)
             assert got == want, (cue_set.cue_ids, policy, sentence)
             chunk_want.update(want)
-        chunk_got = Counter(match_sentences(sentences, cue_set, target_policy=policy))
-        assert chunk_got == chunk_want, (cue_set.cue_ids, policy, sentences)
+        for chunk_tokens in (cues.CHUNK_TOKENS, 1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cues, "CHUNK_TOKENS", chunk_tokens)
+                chunk_got = Counter(match_sentences(iter(sentences), cue_set,
+                                                    target_policy=policy))
+            assert chunk_got == chunk_want, (cue_set.cue_ids, policy, chunk_tokens)
 
 
 def _synth_sentences(language, seed):
@@ -435,6 +440,28 @@ def test_compiled_matcher_equals_reference_on_builtin_rules(language):
     sentences = _synth_sentences(language, seed=3)
     for cue_set in cue_sets:
         assert_same_hits(sentences, cue_set)
+
+
+def test_a_chunk_ends_after_the_sentence_that_fills_it(monkeypatch):
+    monkeypatch.setattr(cues, "CHUNK_TOKENS", 3)
+    cs = builtin_cue_set("EN")
+    sentences = [sent(*[("war", "NOUN")] * n) for n in (2, 1, 1, 3, 1)]
+    # each sentence's tokens and then its boundary
+    assert [len(c.text) for c in cues.encode(iter(sentences), cs)] == [3 + 2, 2 + 4, 2]
+    assert [c.text for c in cues.encode([], cs)] == [""]
+
+
+def test_token_that_satisfies_no_atom_is_not_a_sentence_end():
+    # no EN rule names PUNCT or the lemma ",", so these tokens hold no atom
+    # but the wildcard: the boundary alone has mask 0
+    cs = builtin_cue_set("EN")
+    comma = (",", "PUNCT")
+    sentences = [sent(comma, comma, ("during", "ADP"), ("the", "DET"), ("war", "NOUN")),
+                 sent(("the", "DET"), comma, ("war", "NOUN"), ("happened", "VERB", "happen")),
+                 sent(comma, ("storm", "NOUN"), ("of", "ADP"), comma)]
+    assert match_sentences(sentences, cs) == [
+        CueHit("EN-1", "war", 4), CueHit("EN-4", "war", 2), CueHit("EN-15", "storm", 1)]
+    assert_same_hits(sentences, cs)
 
 
 def test_compiled_matcher_equals_reference_past_latin1():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from eventnouns.corpus import parse_tagged_corpus
-from eventnouns.cues import builtin_cue_set, match_sentence
+from eventnouns.cues import builtin_cue_set, match_sentences
 from eventnouns.data import (
     GoldStandard,
     SynthParams,
@@ -117,7 +117,7 @@ def test_each_template_fires_its_rule_exactly_once(language):
     cue_set = builtin_cue_set(language).with_all_enabled()
     for rule in cue_set.rules:
         sentence = instantiate_template(_TEMPLATES[rule.id], "probenoun")
-        hits = match_sentence(sentence, cue_set)
+        hits = match_sentences((sentence,), cue_set)
         own = [h for h in hits if h.cue_id == rule.id]
         assert len(own) == 1, rule.id
         assert own[0].lemma == "probenoun"

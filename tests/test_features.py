@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sent
-from test_cues import _LEMMAS, _reference_match_sentence, _rule_sets, _sentence
-from eventnouns import features
+from test_cues import _LEMMAS, _reference_match_sentence, _rule_sets, _sentence, hits_of
+from eventnouns import cues
 from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import (
     TARGET_FIRST_NOUN,
     TARGET_LAST_NOUN,
     builtin_cue_set,
-    match_sentence,
+    match_sentences,
 )
 from eventnouns.data import (
     SynthParams,
@@ -117,12 +117,12 @@ def test_counts_match_per_sentence_rescan():
             brute = sum(
                 1
                 for sentence in corpus
-                for hit in match_sentence(sentence, cs)
+                for hit in match_sentences((sentence,), cs)
                 if hit.lemma == vector.lemma and hit.cue_id == cue_id)
             assert vector.counts[position] == brute
 
 
-def _per_sentence_dataset(corpus, cue_set, lemmas, policy, matcher=match_sentence):
+def _per_sentence_dataset(corpus, cue_set, lemmas, policy, matcher=hits_of):
     """Counts and noun totals aggregated one sentence, and one token, at a time."""
     counts = {lemma: Counter() for lemma in lemmas}
     totals = Counter()
@@ -150,7 +150,7 @@ def test_chunked_extraction_equals_per_sentence(monkeypatch, chunk_tokens,
     lemmas = sorted(synth.gold.entries)
     want = _per_sentence_dataset(corpus, cs, lemmas, policy)
     assert not all(v.is_zero for v in want.vectors)
-    monkeypatch.setattr(features, "CHUNK_TOKENS", chunk_tokens)
+    monkeypatch.setattr(cues, "CHUNK_TOKENS", chunk_tokens)
     assert extract_features(iter(corpus), cs, lemmas, target_policy=policy) == want
 
 
@@ -166,12 +166,21 @@ def test_extraction_equals_per_token_oracle(cue_set, disable_all, corpus, lemmas
     for policy in (TARGET_FIRST_NOUN, TARGET_LAST_NOUN):
         want = _per_sentence_dataset(corpus, cue_set, lemmas, policy,
                                      matcher=_reference_match_sentence)
-        for chunk_tokens in (features.CHUNK_TOKENS, 1, 7):
+        for chunk_tokens in (cues.CHUNK_TOKENS, 1, 7):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(features, "CHUNK_TOKENS", chunk_tokens)
+                patch.setattr(cues, "CHUNK_TOKENS", chunk_tokens)
                 got = extract_features(iter(corpus), cue_set, lemmas,
                                        target_policy=policy)
             assert got == want, (policy, chunk_tokens)
+
+
+def test_unknown_target_policy_raises_with_no_sentences_too():
+    cs = builtin_cue_set("EN")
+    for corpus in ([], [sent(("war", "NOUN"))]):
+        with pytest.raises(ValueError, match="unknown target policy"):
+            match_sentences(corpus, cs, target_policy="middle")
+        with pytest.raises(ValueError, match="unknown target policy"):
+            extract_features(iter(corpus), cs, ["war"], target_policy="middle")
 
 
 def test_to_relative():
