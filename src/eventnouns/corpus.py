@@ -71,28 +71,14 @@ class TaggedToken:
             raise ValueError(f"token lemma must be lowercase: {self.lemma!r}")
         check_tag(self.tag)
 
-    @property
-    def coarse(self) -> str:
-        return coarse_tag(self.tag)
 
-
-@dataclass(frozen=True)
-class Sentence:
-    tokens: tuple[TaggedToken, ...]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("sentence must contain at least one token")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[TaggedToken]:
-        return iter(self.tokens)
+# a sentence is the tuple of its tokens; the readers never yield an empty one
+Sentence = tuple[TaggedToken, ...]
 
 
 def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterator[Sentence]:
-    """Parse a stream of corpus lines into sentences, lazily.
+    """Parse a stream of corpus lines into sentences, lazily: each is a
+    tuple of :class:`TaggedToken`.
 
     In strict mode (the default) a malformed line raises
     :class:`CorpusParseError` with its line number; in lenient mode the line
@@ -118,7 +104,7 @@ def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sent
             continue
         if not line.strip():
             if pending:
-                yield Sentence(tuple(pending))
+                yield tuple(pending)
                 pending = []
             continue
         fields = line.split("\t")
@@ -136,7 +122,7 @@ def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sent
         if len(interned) < INTERN_LIMIT:
             interned[line] = token
     if pending:
-        yield Sentence(tuple(pending))
+        yield tuple(pending)
 
 
 def _bad_line(message: str, line_number: int, strict: bool, path: str) -> None:
@@ -195,7 +181,7 @@ def serialize_corpus(sentences: Iterable[Sentence]) -> str:
     ``str.splitlines`` does not: it also breaks at characters such as
     U+2028 or ``\\x0b``, which a surface may hold. A token whose line would
     not read back, as a field holds a tab, ``\\n`` or ``\\r`` or the surface
-    starts with ``#``, raises ``ValueError``.
+    starts with ``#``, raises ``ValueError``, and so does an empty sentence.
     """
     blocks = []
     n_tokens = 0
@@ -203,10 +189,12 @@ def serialize_corpus(sentences: Iterable[Sentence]) -> str:
         blocks.append("\n".join(f"{t.surface}\t{t.lemma}\t{t.tag}" for t in sentence))
         n_tokens += len(sentence)
     text = "\n\n".join(blocks) + "\n"
-    # a field holding a tab or a line feed adds to the format's own count
+    # a field holding a tab or a line feed adds to the format's own count,
+    # and an empty sentence adds a blank line
     if blocks and (text.count("\t") != 2 * n_tokens
                    or text.count("\n") != n_tokens + len(blocks) - 1
                    or "\r" in text or text.startswith("#") or "\n#" in text):
         raise ValueError("a token's line would not read back: a field holds a tab, "
-                         "\\n or \\r, or a surface starts with '#'")
+                         "\\n or \\r, or a surface starts with '#', "
+                         "or a sentence is empty")
     return text

@@ -123,6 +123,8 @@ class CueSet:
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate rule ids: {', '.join(dupes)}")
+        if "label" in ids:  # a dataset CSV would read it as the label column
+            raise ValueError("cue id 'label' names the dataset's label column")
 
     @property
     def n(self) -> int:
@@ -347,9 +349,9 @@ def encode(sentences: Iterable[Sentence], cue_set: CueSet) -> Iterator[EncodedCh
         if size >= CHUNK_TOKENS:
             yield EncodedChunk(compiled.text(tokens), tokens, compiled.nouns)
             tokens, size = [], 0
-        tokens += sentence.tokens
+        tokens += sentence
         tokens.append(_BOUNDARY)
-        size += len(sentence.tokens)
+        size += len(sentence)
     yield EncodedChunk(compiled.text(tokens), tokens, compiled.nouns)
 
 

@@ -109,7 +109,7 @@ def instantiate_template(template, lemma: str) -> Sentence:
         else:
             surface, item_lemma, tag = item
             tokens.append(TaggedToken(surface, item_lemma, tag))
-    return Sentence(tuple(tokens))
+    return tuple(tokens)
 
 
 def validate_templates(language: str) -> None:

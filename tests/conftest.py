@@ -7,4 +7,4 @@ def tok(surface: str, tag: str, lemma: str | None = None) -> TaggedToken:
 
 def sent(*specs) -> Sentence:
     """Build a sentence from (surface, tag) or (surface, tag, lemma) tuples."""
-    return Sentence(tuple(tok(*spec) for spec in specs))
+    return tuple(tok(*spec) for spec in specs)

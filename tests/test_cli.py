@@ -669,6 +669,20 @@ def test_extract_rejects_a_cue_named_label(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cue_named_label_is_rejected_before_the_corpus_is_read(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, "war NOUN\n")  # its first line is malformed
+    cues = tmp_path / "rules.tsv"
+    cues.write_text("label\tpositive\tlemma=the TARGET\n")
+    lemmas = tmp_path / "lemmas.txt"
+    lemmas.write_text("war\n")
+    out = tmp_path / "dataset.csv"
+    assert run(["extract", "--lang", "EN", "--corpus", corpus, "--cues", str(cues),
+                "--lemmas", str(lemmas), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: cue id 'label' names the dataset's label column\n"
+    assert not out.exists()
+
+
 def test_extract_last_noun_policy(tmp_path):
     corpus = write_corpus(
         tmp_path, "during\tduring\tADP\nthe\tthe\tDET\nworld\tworld\tNOUN\n"

@@ -8,6 +8,7 @@ from eventnouns.corpus import (
     CorpusParseError,
     Sentence,
     TaggedToken,
+    coarse_tag,
     parse_tagged_corpus,
     read_tagged_file,
     serialize_corpus,
@@ -26,7 +27,7 @@ def test_single_sentence_at_eof():
     sentences = parse("the\tthe\tDET\nwar\twar\tNOUN\nended\tend\tVERB\n")
     assert len(sentences) == 1
     assert len(sentences[0]) == 3
-    assert sentences[0].tokens[1] == TaggedToken("war", "war", "NOUN")
+    assert sentences[0][1] == TaggedToken("war", "war", "NOUN")
 
 
 def test_blank_line_separates_sentences():
@@ -112,13 +113,13 @@ def test_comments_and_crlf_accepted():
 
 def test_lemma_lowercased_on_read():
     (sentence,) = parse("War\tWar\tNOUN\n")
-    assert sentence.tokens[0].surface == "War"
-    assert sentence.tokens[0].lemma == "war"
+    assert sentence[0].surface == "War"
+    assert sentence[0].lemma == "war"
 
 
 def test_refined_tags_accepted():
     (sentence,) = parse("ocurrido\tocurrir\tVERB:PART\n")
-    assert sentence.tokens[0].coarse == "VERB"
+    assert coarse_tag(sentence[0].tag) == "VERB"
     with pytest.raises(CorpusParseError):
         parse("x\tx\tVERB:\n")
 
@@ -130,8 +131,6 @@ def test_token_invariants():
         TaggedToken("war", "", "NOUN")
     with pytest.raises(ValueError):
         TaggedToken("war", "war", "XXX")
-    with pytest.raises(ValueError):
-        Sentence(())
 
 
 def _random_corpus(rng: random.Random) -> list[Sentence]:
@@ -144,7 +143,7 @@ def _random_corpus(rng: random.Random) -> list[Sentence]:
                         else rng.choice(words),
                         rng.choice(words), rng.choice(tags))
             for _ in range(rng.randint(1, 6)))
-        corpus.append(Sentence(tokens))
+        corpus.append(tokens)
     return corpus
 
 
@@ -167,7 +166,7 @@ def test_serialized_token_reads_back_or_raises(tmp_path, token, reads_back):
     war = TaggedToken("war", "war", "NOUN")
     path = tmp_path / "corpus.tsv"
     # the token leads the text, then a sentence after the first
-    for corpus in ([Sentence((token, war))], [sent(("the", "DET")), Sentence((token, war))]):
+    for corpus in ([(token, war)], [sent(("the", "DET")), (token, war)]):
         if not reads_back:
             with pytest.raises(ValueError, match="would not read back"):
                 serialize_corpus(corpus)
@@ -176,6 +175,28 @@ def test_serialized_token_reads_back_or_raises(tmp_path, token, reads_back):
         path.write_bytes(text.encode("utf-8"))
         assert list(parse_tagged_corpus(text.split("\n"))) == corpus
         assert list(read_tagged_file(str(path))) == corpus
+
+
+def test_serialized_empty_sentence_raises():
+    s = sent(("war", "NOUN"))
+    for corpus in ([()], [s, (), s]):
+        with pytest.raises(ValueError, match="or a sentence is empty"):
+            serialize_corpus(corpus)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_sentences_are_plain_tuples_of_tokens(tmp_path, strict):
+    text = "la\tel\tDET\nguerra\tguerra\tNOUN\n\nWar\tWar\tNOUN\n"
+    if not strict:
+        text += "bad line\n"
+    want = [(TaggedToken("la", "el", "DET"), TaggedToken("guerra", "guerra", "NOUN")),
+            (TaggedToken("War", "war", "NOUN"),)]
+    path = tmp_path / "corpus.tsv"
+    path.write_text(text, encoding="utf-8")
+    for sentences in (list(parse_tagged_corpus(text.splitlines(), strict=strict)),
+                      list(read_tagged_file(str(path), strict=strict))):
+        assert sentences == want
+        assert [type(s) for s in sentences] == [tuple, tuple]
 
 
 def test_sentence_count_matches_blocks():
@@ -273,7 +294,7 @@ def test_file_blocks_parse_like_lines(tmp_path, monkeypatch, block_chars):
     from_file = list(read_tagged_file(str(path)))
     from_lines = parse(text)
     assert from_file == from_lines
-    assert from_file[-1].tokens[-1] == TaggedToken("guerra", "guerra", "NOUN")
+    assert from_file[-1][-1] == TaggedToken("guerra", "guerra", "NOUN")
     assert _sharing(from_file) == _sharing(from_lines)
 
 

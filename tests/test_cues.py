@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sent
 from eventnouns import cues
-from eventnouns.corpus import COARSE_TAGS, Sentence, TaggedToken, parse_tagged_corpus
+from eventnouns.corpus import COARSE_TAGS, TaggedToken, coarse_tag, parse_tagged_corpus
 from eventnouns.cues import (
     CueHit,
     MAX_STAR,
@@ -147,7 +147,7 @@ def test_matching_never_crosses_sentence_boundary():
     assert hits_of(first, cs) == []
     assert hits_of(second, cs) == []
     assert match_sentences((first, second), cs) == []
-    glued = Sentence(first.tokens + second.tokens)
+    glued = first + second
     assert [h.cue_id for h in hits_of(glued, cs)] == ["ES-1"]
 
 
@@ -162,8 +162,8 @@ def test_every_hit_is_a_noun_token():
         tokens = tuple(
             TaggedToken(w, w, rng.choice(tags))
             for w in (rng.choice(words) for _ in range(rng.randint(1, 7))))
-        for hit in hits_of(Sentence(tokens), cs):
-            assert tokens[hit.token_index].coarse == "NOUN"
+        for hit in hits_of(tokens, cs):
+            assert coarse_tag(tokens[hit.token_index].tag) == "NOUN"
             assert tokens[hit.token_index].lemma == hit.lemma
 
 
@@ -323,7 +323,7 @@ def _reference_holds(constraint, token):
         return False
     # a coarse-only tag matches any refinement; a refined tag is exact
     if constraint.tag_in is not None and not any(
-            token.tag == pattern if ":" in pattern else token.coarse == pattern
+            token.tag == pattern if ":" in pattern else coarse_tag(token.tag) == pattern
             for pattern in constraint.tag_in):
         return False
     return True
@@ -379,10 +379,9 @@ def _reference_match_rule_at(rule, tokens, start, target_policy):
     return bound if ok else None
 
 
-def _reference_match_sentence(sentence, cue_set, *, target_policy=TARGET_FIRST_NOUN):
+def _reference_match_sentence(tokens, cue_set, *, target_policy=TARGET_FIRST_NOUN):
     """The backtracking matcher: every enabled rule at every start, tried
     element by element with ``_reference_holds``."""
-    tokens = sentence.tokens
     hits = []
     for rule in cue_set.rules:
         if not rule.enabled:
@@ -420,7 +419,7 @@ def _synth_sentences(language, seed):
                          noise=0.2, seed=seed)
     text = generate_synthetic_corpus(params, language=language).corpus_text
     sentences = list(parse_tagged_corpus(text.splitlines()))
-    joined = [Sentence(sum((s.tokens for s in sentences[i:i + 3]), ()))
+    joined = [sum(sentences[i:i + 3], ())
               for i in range(0, len(sentences), 3)]
     return sentences + joined
 
@@ -471,9 +470,9 @@ def test_compiled_matcher_equals_reference_past_latin1():
     lines += [f"T-{tag}\tpositive\ttag={tag} TARGET" for tag in tags]
     cs = load_cue_set(lines, "EN")
     rng = random.Random(5)
-    sentences = [Sentence(tuple(
+    sentences = [tuple(
         TaggedToken("x", rng.choice(words + ["other"]), rng.choice(tags + ["NOUN"] * 4))
-        for _ in range(rng.randint(1, 8)))) for _ in range(300)]
+        for _ in range(rng.randint(1, 8))) for _ in range(300)]
     assert_same_hits(sentences, cs)
     assert max(map(ord, cs._compiled.chars.values())) > 255  # past Latin-1
 
@@ -516,8 +515,7 @@ def _rule_sets(draw):
 
 _token = st.tuples(st.sampled_from(_SURFACES), st.sampled_from(_LEMMAS),
                    st.sampled_from(_TOKEN_TAGS)).map(lambda t: TaggedToken(*t))
-_sentence = st.lists(_token, min_size=1, max_size=10).map(
-    lambda tokens: Sentence(tuple(tokens)))
+_sentence = st.lists(_token, min_size=1, max_size=10).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)

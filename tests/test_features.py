@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import sent
 from test_cues import _LEMMAS, _reference_match_sentence, _rule_sets, _sentence, hits_of
 from eventnouns import cues
-from eventnouns.corpus import parse_tagged_corpus
+from eventnouns.corpus import coarse_tag, parse_tagged_corpus
 from eventnouns.cues import (
     TARGET_FIRST_NOUN,
     TARGET_LAST_NOUN,
@@ -127,7 +127,7 @@ def _per_sentence_dataset(corpus, cue_set, lemmas, policy, matcher=hits_of):
     counts = {lemma: Counter() for lemma in lemmas}
     totals = Counter()
     for sentence in corpus:
-        totals.update(t.lemma for t in sentence if t.coarse == "NOUN")
+        totals.update(t.lemma for t in sentence if coarse_tag(t.tag) == "NOUN")
         for hit in matcher(sentence, cue_set, target_policy=policy):
             if hit.lemma in counts:
                 counts[hit.lemma][hit.cue_id] += 1
