@@ -93,7 +93,7 @@ def _resolve_gold(args):
 def _read_lemma_list(path: str) -> list[str]:
     _check_files([path])
     lemmas = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             lemma = line.strip().lower()
             if lemma and not lemma.startswith("#"):

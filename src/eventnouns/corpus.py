@@ -5,9 +5,10 @@ The corpus format is one token per line::
     surface<TAB>lemma<TAB>tag
 
 A blank line ends a sentence, lines starting with ``#`` are comments, and
-both LF and CRLF endings are accepted. Files are UTF-8. The tag is a coarse
-category, optionally refined as ``COARSE:FINE`` (e.g. ``VERB:PART`` for a
-participle or ``PART:POSS`` for a possessive marker).
+both LF and CRLF endings are accepted. Files are UTF-8, and a byte-order
+mark at the start is skipped. The tag is a coarse category, optionally
+refined as ``COARSE:FINE`` (e.g. ``VERB:PART`` for a participle or
+``PART:POSS`` for a possessive marker).
 
 Lemmas are lowercased on read: classification is per lemma and case
 variance is just noise.
@@ -144,12 +145,12 @@ def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
     too.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path)
     except UnicodeDecodeError:
         # a read decodes a chunk of bytes ahead of the lines it returns, so
         # the failed read does not tell the line: decode again line by line
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             for line_number, line in enumerate(fh, start=1):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -175,37 +175,13 @@ class EncodedChunk(NamedTuple):
 
 # --- matching -------------------------------------------------------------
 
-class _TagMasks(dict):
-    """Tag -> atom mask, filled in as tags are seen."""
+class _ByTag(dict):
+    """Tag -> entry; a refinement no rule names has its coarse tag's entry.
+    Every tag met here passed ``check_tag``, so its coarse part has one."""
 
-    def __init__(self, constraints):
-        super().__init__({_BOUNDARY.tag: 0})
-        self.constraints = constraints
-
-    def __missing__(self, tag: str) -> int:
-        mask = 0
-        for constraint, bit in self.constraints:
-            # a coarse-only pattern matches any refinement; a refined one is exact
-            if constraint.tag_in is None or any(
-                    tag == pattern if ":" in pattern else coarse_tag(tag) == pattern
-                    for pattern in constraint.tag_in):
-                mask |= bit
-        self[tag] = mask
-        return mask
-
-
-class _TagChars(dict):
-    """Tag -> character of the tokens whose lemma has one mask, filled in as
-    tags are seen; for cue sets without surface atoms."""
-
-    def __init__(self, compiled: _CompiledCueSet, lemma_mask: int):
-        super().__init__()
-        self.compiled, self.lemma_mask = compiled, lemma_mask
-
-    def __missing__(self, tag: str) -> str:
-        char = self.compiled.chars[self.lemma_mask & self.compiled.tag_masks[tag]]
-        self[tag] = char
-        return char
+    def __missing__(self, tag: str):
+        self[tag] = entry = self[coarse_tag(tag)]
+        return entry
 
 
 def _field_table(constraints, field: str) -> tuple[int, dict[str, int]]:
@@ -237,14 +213,15 @@ class _CompiledCueSet:
     characters of the masks with that bit. So does the wildcard, which every
     token holds and the sentence boundary lacks: mask 0 is the boundary's
     alone. A token's atom mask, the bits of the constraints it satisfies, is
-    the AND of one table lookup per field; the lemma and surface tables hold
-    only the values the rules name, and a tag no rule names has its coarse
-    tag's mask, so every mask is known here. A token is encoded as the
-    character of its mask, and an atom as the class of those whose masks
-    hold its bit: never empty, as a constraint's own table entries all hold
-    its bit. Where no rule has a surface atom, ``lemma_chars`` and
-    ``default_chars`` give a token's character from its lemma and then its
-    tag. Each rule compiles once per policy.
+    the AND of one lookup per field in tables that :func:`_field_table`
+    builds from the values the rules name, the tag table from each coarse
+    tag too; a refinement no rule names takes its coarse tag's mask, so
+    every mask is known here. A token is encoded as the character of its
+    mask, and an atom as the class of those whose masks hold its bit: never
+    empty, as a constraint's own table entries all hold its bit. Where no
+    rule has a surface atom, ``text`` takes a token's character from its
+    lemma and then its tag in ``lemma_chars`` or ``default_chars``, built
+    here for a surface no rule names. Each rule compiles once per policy.
     """
 
     def __init__(self, cue_set: CueSet):
@@ -258,7 +235,7 @@ class _CompiledCueSet:
 
         # (rule id, atoms); an atom is (bit, repeat, the word bits of each
         # multi-word literal, shortest first, is target)
-        self.rules = []
+        rules = []
         for rule in (rule for rule in cue_set.rules if rule.enabled):
             atoms = []
             for index, constraint in enumerate(rule.elements):
@@ -268,26 +245,34 @@ class _CompiledCueSet:
                              for words in literals]
                 atoms.append((bit(constraint), constraint.repeat, word_bits,
                               index == rule.target_index))
-            self.rules.append((rule.id, atoms))
+            rules.append((rule.id, atoms))
         constraints = tuple(bits.items())
         self.lemma_default, self.lemma_masks = _field_table(constraints, "lemma_in")
         self.surface_default, self.surface_masks = _field_table(constraints, "surface_in")
-        self.tag_masks = _TagMasks(constraints)
-        tags = {*COARSE_TAGS, _BOUNDARY.tag, *(t for c in bits for t in c.tag_in or ())}
-        masks = {lemma & self.tag_masks[tag] for tag in tags
+        tag_default, named = _field_table(constraints, "tag_in")
+        # a coarse-only pattern matches any refinement; a refined one is exact
+        self.tag_masks = _ByTag({tag: named.get(tag, tag_default)
+                                 | named.get(coarse_tag(tag), tag_default)
+                                 for tag in {*COARSE_TAGS, *named}})
+        self.tag_masks[_BOUNDARY.tag] = 0
+        masks = {lemma & tag for tag in self.tag_masks.values()
                  for lemma in (self.lemma_default, *self.lemma_masks.values())}
         masks = {mask & surface for mask in masks  # the default holds all bits if unused
                  for surface in (self.surface_default, *self.surface_masks.values())}
         # code points below 256 keep each class a small bitmap in ``re``
         self.chars = {mask: chr(k) for k, mask in enumerate(sorted(masks))}
         self.nouns = frozenset(c for mask, c in self.chars.items() if mask & noun)
-        self.lemma_chars = {lemma: _TagChars(self, mask)
-                            for lemma, mask in self.lemma_masks.items()}
-        self.default_chars = _TagChars(self, self.lemma_default)
+
+        def tag_chars(lemma_mask: int) -> _ByTag:
+            return _ByTag({tag: self.chars[lemma_mask & mask & self.surface_default]
+                           for tag, mask in self.tag_masks.items()})
+
+        self.lemma_chars = {lemma: tag_chars(mask) for lemma, mask in self.lemma_masks.items()}
+        self.default_chars = tag_chars(self.lemma_default)
         classes = {bit: "[" + "".join(re.escape(c) for mask, c in self.chars.items()
                                       if mask & bit) + "]" for bit in bits.values()}
         self.patterns = {last_noun: [(rule_id, _pattern(atoms, classes.__getitem__, last_noun))
-                                     for rule_id, atoms in self.rules]
+                                     for rule_id, atoms in rules]
                          for last_noun in (False, True)}
 
     def text(self, tokens: list) -> str:
@@ -476,7 +461,7 @@ def load_cue_set(lines: Iterable[str], language: str) -> CueSet:
 
 
 def read_cue_file(path: str, language: str) -> CueSet:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return load_cue_set(fh, language)
 
 

@@ -85,7 +85,8 @@ class Dataset:
             raise ValueError("cue id 'label' names the dataset's label column")
         lemmas = [v.lemma for v in self.vectors]
         if len(lemmas) != len(set(lemmas)):
-            raise ValueError("duplicate lemmas in dataset")
+            repeated = sorted(l for l, k in Counter(lemmas).items() if k > 1)
+            raise ValueError("duplicate lemmas in dataset: " + ", ".join(repeated))
         for v in self.vectors:
             if len(v.counts) != len(self.cue_ids):
                 raise ValueError(
@@ -214,6 +215,8 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
 
 
 def read_dataset_csv(path: str) -> Dataset:
+    """Read a dataset that :func:`write_dataset_csv` wrote. An error begins
+    with ``path``, and with ``path:row`` where one row is at fault."""
     rows = read_csv_rows(path)
     _, header = next(rows, (0, None))
     if header is None:
@@ -225,17 +228,23 @@ def read_dataset_csv(path: str) -> Dataset:
     expected = len(header)
     vectors = []
     labels: dict[str, str] = {}
-    for _, row in rows:
-        if len(row) != expected:
-            raise ValueError(f"{path}: row for {row[0]!r} has {len(row)} "
-                             f"fields, expected {expected}")
-        lemma = row[0]
-        cells = row[1:2 + len(cue_ids)]
+    for row_number, row in rows:
         try:
-            numbers = tuple(map(int, cells))
-        except ValueError:  # some cell is not an integer
-            numbers = tuple(map(_parse_number, cells))
-        vectors.append(FeatureVector(lemma, numbers[1:], numbers[0]))
+            if len(row) != expected:
+                raise ValueError(f"row for {row[0]!r} has {len(row)} "
+                                 f"fields, expected {expected}")
+            lemma = row[0]
+            cells = row[1:2 + len(cue_ids)]
+            try:
+                numbers = tuple(map(int, cells))
+            except ValueError:  # some cell is not an integer
+                numbers = tuple(map(_parse_number, cells))
+            vectors.append(FeatureVector(lemma, numbers[1:], numbers[0]))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row_number}: {exc}") from None
         if labeled:
             labels[lemma] = row[-1]
-    return Dataset(cue_ids, tuple(vectors), labels if labeled else None)
+    try:
+        return Dataset(cue_ids, tuple(vectors), labels if labeled else None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -122,6 +122,47 @@ def test_non_utf8_corpus_names_file_and_line(tmp_path, flags):
     assert not out.exists()
 
 
+BOM = "\ufeff"
+
+
+def test_corpus_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    outs = []
+    for mark in ("", BOM):
+        corpus = write_corpus(tmp_path, mark + "# a comment\n" + TINY_CORPUS)
+        out = tmp_path / "d.csv"
+        assert run(["extract", "--corpus", corpus, "--builtin-gold",
+                    "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    # the fallback that finds a line that is not UTF-8 skips the mark too
+    Path(corpus).write_bytes((BOM + TINY_CORPUS).encode("utf-8")
+                             + b"\ncaf\xe9\tcaf\xe9\tNOUN\n")
+    capsys.readouterr()
+    assert run(["extract", "--corpus", corpus, "--builtin-gold", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: line 17: 'utf-8' codec can't decode "
+        "byte 0xe9 in position 3: invalid continuation byte\n")
+
+
+def test_cue_file_may_start_with_a_byte_order_mark(tmp_path):
+    cues = tmp_path / "rules.tsv"
+    cues.write_text(BOM + "X-1\tpositive\tlemma=during tag=DET? TARGET\n", encoding="utf-8")
+    out = tmp_path / "d.csv"
+    assert run(["extract", "--corpus", write_corpus(tmp_path), "--cues", str(cues),
+                "--builtin-gold", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("lemma,total,X-1,label\n")
+
+
+def test_lemma_list_may_start_with_a_byte_order_mark(tmp_path):
+    lemmas = tmp_path / "lemmas.txt"
+    lemmas.write_text(BOM + "war\nmap\n", encoding="utf-8")
+    out = tmp_path / "d.csv"
+    assert run(["extract", "--corpus", write_corpus(tmp_path), "--lemmas", str(lemmas),
+                "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["map", "2"], ["war", "2"]]
+
+
 def test_fresh_process_extract_writes_what_main_writes(tmp_path, capsys):
     # a fresh process runs main_entry, which freezes the start-up heap first
     corpus = write_corpus(tmp_path)
@@ -561,6 +602,22 @@ DUPLICATE_CUE_DATASET = ("lemma,total,X-1,X-1,label\n"
 def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, message):
     assert _run_on_bad_dataset(tmp_path, capsys, command, text) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, where, message", [
+    ("war,4,abc,EVENT", ":2", "could not convert string to float: 'abc'"),
+    (",4,3,EVENT", ":2", "feature vector with an empty lemma"),
+    ("war,4,3", ":2", "row for 'war' has 3 fields, expected 4"),
+    ("tree,4,3,EVENT", "", "duplicate lemmas in dataset: tree"),
+    ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
+], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label"])
+def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")
+    out = tmp_path / "model.json"
+    assert run(["train", "--dataset", str(dataset), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {dataset}{where}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -437,8 +437,13 @@ def test_compiled_matcher_equals_reference_on_builtin_rules(language):
                 only = only.with_enabled(other.id, False)
         cue_sets.append(only)
     sentences = _synth_sentences(language, seed=3)
+    # refinements no built-in rule names take their coarse tag's mask
+    retag = {"NOUN": "NOUN:PL", "ADJ": "ADJ:SUP", "VERB": "VERB:PAST"}
+    retagged = [tuple(TaggedToken(t.surface, t.lemma, retag.get(t.tag, t.tag)) for t in s)
+                for s in sentences]
     for cue_set in cue_sets:
         assert_same_hits(sentences, cue_set)
+        assert_same_hits(retagged, cue_set)
 
 
 def test_a_chunk_ends_after_the_sentence_that_fills_it(monkeypatch):
@@ -481,7 +486,7 @@ def test_compiled_matcher_equals_reference_past_latin1():
 _LEMMAS = ["a", "b", "take", "place", "of", "the"]
 _LITERALS = ["take+place", "of+the", "a+b+a", "the+the"]
 _SURFACES = ["a", "A", "b", "La", "la"]
-_TOKEN_TAGS = ["NOUN", "NOUN:PL", "VERB", "VERB:PART", "ADJ", "DET", "ADP"]
+_TOKEN_TAGS = ["NOUN", "NOUN:PL", "VERB", "VERB:PART", "ADJ", "ADJ:SUP", "DET", "ADP"]
 _PATTERN_TAGS = ["NOUN", "VERB", "VERB:PART", "ADJ", "DET", "ADP", "NOUN:PL"]
 
 
