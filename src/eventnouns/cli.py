@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import dtree, evaluation, features
-from .corpus import CorpusParseError, read_tagged_file
+from .corpus import CorpusParseError, open_input, read_tagged_file
 from .cues import TARGET_FIRST_NOUN, TARGET_LAST_NOUN, builtin_cue_set, read_cue_file
 from .gold import english_gold, load_gold, write_gold_csv
 
@@ -93,7 +93,7 @@ def _resolve_gold(args):
 def _read_lemma_list(path: str) -> list[str]:
     _check_files([path])
     lemmas = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_input(path) as fh:
         for line in fh:
             lemma = line.strip().lower()
             if lemma and not lemma.startswith("#"):

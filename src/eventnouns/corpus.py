@@ -16,9 +16,10 @@ variance is just noise.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 COARSE_TAGS = frozenset({
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "ADV", "DET",
@@ -137,16 +138,28 @@ def _bad_line(message: str, line_number: int, strict: bool, path: str) -> None:
 
 
 def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
-    """Open ``path`` as UTF-8 and yield its sentences.
+    """Open ``path`` with :func:`open_input` and yield its sentences.
 
     The file is decoded and split into lines ``BLOCK_CHARS`` characters at
     a time. Every error and warning begins with ``path``. A line that is
     not UTF-8 raises ``ValueError`` with its line number, in lenient mode
     too.
     """
+    with open_input(path) as fh:
+        yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path)
+
+
+@contextmanager
+def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text; a byte-order mark is skipped.
+
+    Every reader of the pipeline opens its file here. A byte that is not
+    UTF-8 raises ``ValueError`` with ``path``, the number of its line and
+    the decode error.
+    """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path)
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
     except UnicodeDecodeError:
         # a read decodes a chunk of bytes ahead of the lines it returns, so
         # the failed read does not tell the line: decode again line by line

@@ -37,7 +37,7 @@ from operator import add, attrgetter, invert, methodcaller, sub
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag
+from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag, open_input
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -461,8 +461,13 @@ def load_cue_set(lines: Iterable[str], language: str) -> CueSet:
 
 
 def read_cue_file(path: str, language: str) -> CueSet:
-    with open(path, encoding="utf-8-sig") as fh:
-        return load_cue_set(fh, language)
+    """Load a cue set from a rule file; each error begins with ``path``."""
+    with open_input(path) as fh:
+        lines = fh.readlines()
+    try:
+        return load_cue_set(lines, language)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- built-in rule sets ---------------------------------------------------

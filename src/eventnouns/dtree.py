@@ -194,8 +194,6 @@ def pessimistic_upper_bound(errors: int, n: int, confidence_factor: float) -> fl
     from statistics import NormalDist
     z = NormalDist().inv_cdf(1.0 - confidence_factor)
     f = (errors + 0.5) / n
-    if f >= 1.0:
-        return 1.0
     upper = (f + z * z / (2 * n)
              + z * math.sqrt(f * (1 - f) / n + z * z / (4 * n * n))) \
         / (1 + z * z / n)
@@ -301,8 +299,6 @@ def _best_node_split(histograms, totals, total_entropy,
 def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:
     """Pessimistic error estimate of a leaf holding ``class_counts``."""
     n = sum(class_counts.values())
-    if n == 0:
-        return 0.0
     errors = n - max(class_counts.values())
     return n * pessimistic_upper_bound(errors, n, cf)
 
@@ -423,10 +419,15 @@ def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
 
 
 def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
-    """Returns (tree, cue_ids, params, language)."""
+    """Returns (tree, cue_ids, params, language). The file is opened with
+    :func:`corpus.open_input`; an error in its contents begins with ``path``."""
     import json
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    from .corpus import open_input
+    with open_input(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":
         raise ValueError(f"{path}: not an eventnouns tree model")
     raw = _required(payload, "params", f"{path}: model")

@@ -19,7 +19,7 @@ from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Sentence
+from .corpus import Sentence, open_input
 from .cues import CueSet, TARGET_FIRST_NOUN, encode, match_encoded
 
 # the matcher seam: perfbench/replay.py wraps this name to time matching,
@@ -183,8 +183,8 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
 
 def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1.
-    A UTF-8 byte-order mark at the start of the file is skipped."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    The file is opened with :func:`corpus.open_input`."""
+    with open_input(path, newline="") as fh:
         for row_number, row in enumerate(csv.reader(fh), start=1):
             if row:
                 yield row_number, row
@@ -215,8 +215,9 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    """Read a dataset that :func:`write_dataset_csv` wrote. An error begins
-    with ``path``, and with ``path:row`` where one row is at fault."""
+    """Read a dataset that :func:`write_dataset_csv` wrote; lemmas are
+    lowercased. An error begins with ``path``, and with ``path:row`` where
+    one row is at fault."""
     rows = read_csv_rows(path)
     _, header = next(rows, (0, None))
     if header is None:
@@ -233,7 +234,7 @@ def read_dataset_csv(path: str) -> Dataset:
             if len(row) != expected:
                 raise ValueError(f"row for {row[0]!r} has {len(row)} "
                                  f"fields, expected {expected}")
-            lemma = row[0]
+            lemma = row[0].lower()
             cells = row[1:2 + len(cue_ids)]
             try:
                 numbers = tuple(map(int, cells))

@@ -163,6 +163,50 @@ def test_lemma_list_may_start_with_a_byte_order_mark(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["map", "2"], ["war", "2"]]
 
 
+def test_cue_file_error_names_the_file(tmp_path, capsys):
+    cues = tmp_path / "rules.tsv"
+    cues.write_text("X-1\tpositive\tlemma=during TARGET\nX-2\tpositive\n", encoding="utf-8")
+    out = tmp_path / "d.csv"
+    assert run(["extract", "--corpus", write_corpus(tmp_path), "--cues", str(cues),
+                "--builtin-gold", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cues}: cue line 2: expected 3 or 4 tab-separated fields, got 2\n")
+    assert not out.exists()
+
+
+# each reader's input with a byte that is not UTF-8 at position 3 of line 2
+# or 3, and a command that reads it; BAD stands for its path
+_NOT_UTF8 = {
+    "cues": (b"X-1\tpositive\tlemma=during TARGET\ncaf\xe9\tpositive\tTARGET\n", 2,
+             ["extract", "--corpus", "CORPUS", "--cues", "BAD", "--builtin-gold"]),
+    "lemmas": (b"war\ncaf\xe9\n", 2, ["extract", "--corpus", "CORPUS", "--lemmas", "BAD"]),
+    "gold": (b"lemma,label\nwar,EVENT\ncaf\xe9,NON_EVENT\n", 3,
+             ["extract", "--corpus", "CORPUS", "--gold", "BAD"]),
+    "dataset": (b"lemma,total,X-1,label\nwar,4,3,EVENT\ncaf\xe9,2,0,NON_EVENT\n", 3,
+                ["train", "--dataset", "BAD"]),
+    "predictions": (b"lemma,gold,predicted,confidence\nwar,EVENT,EVENT,0.9\n"
+                    b"caf\xe9,NON_EVENT,EVENT,0.6\n", 3, ["curve", "--predictions", "BAD"]),
+    "model": (b'{"format": "eventnouns-tree/1",\ncaf\xe9\n}\n', 2,
+              ["classify", "--model", "BAD", "--dataset", "DATASET"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_UTF8))
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, kind):
+    data, line, argv = _NOT_UTF8[kind]
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(data)
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET, encoding="utf-8")
+    files = {"BAD": str(bad), "CORPUS": write_corpus(tmp_path), "DATASET": str(dataset)}
+    out = tmp_path / "out"
+    assert run([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {line}: 'utf-8' codec can't decode "
+        "byte 0xe9 in position 3: invalid continuation byte\n")
+    assert not out.exists()
+
+
 def test_fresh_process_extract_writes_what_main_writes(tmp_path, capsys):
     # a fresh process runs main_entry, which freezes the start-up heap first
     corpus = write_corpus(tmp_path)
@@ -334,6 +378,37 @@ def test_every_csv_file_has_one_format(tmp_path, capsys):
         copy = tmp_path / "copy.csv"
         write(read(str(written[name])), str(copy))
         assert copy.read_bytes() == written[name].read_bytes(), name
+
+
+def test_model_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    _, dataset = full_pipeline(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(BOM.encode("utf-8") + model.read_bytes())
+    lexicons = []
+    for path in (model, marked):
+        out = tmp_path / f"{path.stem}.lexicon.csv"
+        assert run(["classify", "--model", str(path), "--dataset", dataset,
+                    "--out", str(out)]) == 0
+        lexicons.append(out.read_bytes())
+    assert lexicons[0] == lexicons[1]
+
+
+def test_damaged_model_error_names_the_file(tmp_path, capsys):
+    _, dataset = full_pipeline(tmp_path, capsys)
+    model = tmp_path / "model.json"
+    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
+    text = model.read_text(encoding="utf-8")[:50]
+    model.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    capsys.readouterr()
+    lexicon = tmp_path / "lexicon.csv"
+    assert run(["classify", "--model", str(model), "--dataset", dataset,
+                "--out", str(lexicon)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {decode.value}\n"
+    assert not lexicon.exists()
 
 
 def test_classify_dimension_mismatch(tmp_path, capsys):
@@ -610,13 +685,31 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, messag
     ("war,4,3", ":2", "row for 'war' has 3 fields, expected 4"),
     ("tree,4,3,EVENT", "", "duplicate lemmas in dataset: tree"),
     ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
-], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label"])
+    ("war,4,3,EVENT\nWar,4,3,EVENT", "", "duplicate lemmas in dataset: war"),
+], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label",
+        "lemma-case"])
 def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")
     out = tmp_path / "model.json"
     assert run(["train", "--dataset", str(dataset), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {dataset}{where}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extract", "--corpus", "CORPUS", "--lemmas", "COMMENTS"], "COMMENTS: no lemmas found"),
+    (["evaluate", "--seed", "1"], "need --dataset FILE or --corpus FILE ..."),
+    (["evaluate", "--seed", "1", "--corpus", "CORPUS"], "need --builtin-gold or --gold FILE"),
+], ids=["lemmas-only-comments", "evaluate-without-input", "evaluate-corpus-without-gold"])
+def test_missing_input_is_usage_error(tmp_path, capsys, argv, message):
+    comments = tmp_path / "lemmas.txt"
+    comments.write_text("# no lemma here\n\n", encoding="utf-8")
+    files = {"CORPUS": write_corpus(tmp_path), "COMMENTS": str(comments)}
+    out = tmp_path / "out"
+    assert run([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 2
+    message = message.replace("COMMENTS", files["COMMENTS"])
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -722,7 +815,7 @@ def test_extract_rejects_a_cue_named_label(tmp_path, capsys):
     assert run(["extract", "--lang", "EN", "--corpus", corpus, "--cues", str(cues),
                 "--lemmas", str(lemmas), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
-        "error: cue id 'label' names the dataset's label column\n"
+        f"error: {cues}: cue id 'label' names the dataset's label column\n"
     assert not out.exists()
 
 
@@ -736,7 +829,7 @@ def test_cue_named_label_is_rejected_before_the_corpus_is_read(tmp_path, capsys)
     assert run(["extract", "--lang", "EN", "--corpus", corpus, "--cues", str(cues),
                 "--lemmas", str(lemmas), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
-        "error: cue id 'label' names the dataset's label column\n"
+        f"error: {cues}: cue id 'label' names the dataset's label column\n"
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from eventnouns import cues
 from eventnouns.corpus import COARSE_TAGS, TaggedToken, coarse_tag, parse_tagged_corpus
 from eventnouns.cues import (
     CueHit,
+    CueRule,
     MAX_STAR,
     NEGATIVE,
     Repeat,
@@ -19,8 +20,15 @@ from eventnouns.cues import (
     builtin_cue_set,
     load_cue_set,
     match_sentences,
+    read_cue_file,
 )
-from eventnouns.data import SynthParams, generate_synthetic_corpus, validate_templates
+from eventnouns.data import (
+    SynthParams,
+    _DISTRACTORS,
+    _TEMPLATES,
+    generate_synthetic_corpus,
+    instantiate_template,
+)
 
 
 def hits_of(sentence, cue_set, **kwargs):
@@ -240,6 +248,49 @@ def test_cue_file_errors():
     assert "X-1" in str(exc.value)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("X-1\tpositive", "cue line 2: expected 3 or 4 tab-separated fields, got 2"),
+    ("X-1\tpositive\tTARGET\tmaybe", "cue line 2: bad flag 'maybe'"),
+    ("X-1\tpositive\tlemma=during ? TARGET", "cue line 2: empty pattern atom"),
+    ("X-1\tpositive\tfoo=x TARGET", "cue line 2: unknown constraint field 'foo'"),
+    ("X-1\tpositive\tlemma=take+place,tag=VERB TARGET",
+     "multi-token lemma literals cannot combine with surface or tag constraints"),
+], ids=["field-count", "flag", "empty-atom", "unknown-field", "literal-with-tag"])
+def test_cue_line_error_message(tmp_path, line, message):
+    lines = ["# a comment line counts", line]
+    with pytest.raises(ValueError) as exc:
+        load_cue_set(lines, "EN")
+    assert str(exc.value) == message
+    path = tmp_path / "rules.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_cue_file(str(path), "EN")
+    assert str(exc.value) == f"{path}: {message}"
+
+
+_NOUN = TokenConstraint(tag_in=frozenset({"NOUN"}))
+
+
+@pytest.mark.parametrize("elements, target_index, message", [
+    ((), 0, "rule X-1: empty pattern"),
+    ((_NOUN,), 1, "rule X-1: target index out of range"),
+    ((TokenConstraint(tag_in=frozenset({"NOUN"}), repeat=Repeat.STAR),), 0,
+     "rule X-1: target slot must match exactly one token"),
+    ((TokenConstraint(tag_in=frozenset({"PROPN"})),), 0,
+     "rule X-1: target slot must require tag NOUN"),
+], ids=["no-elements", "target-out-of-range", "repeating-target", "target-not-noun"])
+def test_rule_built_in_code_is_checked(elements, target_index, message):
+    with pytest.raises(ValueError) as exc:
+        CueRule("X-1", "positive", elements, target_index)
+    assert str(exc.value) == message
+
+
+def test_with_enabled_rejects_an_unknown_rule():
+    with pytest.raises(KeyError) as exc:
+        builtin_cue_set("EN").with_enabled("EN-99", False)
+    assert exc.value.args == ("EN-99",)
+
+
 def test_constraint_validation():
     with pytest.raises(ValueError):
         TokenConstraint(tag_in=frozenset({"XXX"}))
@@ -307,7 +358,10 @@ def test_validate_templates_builds_each_pattern_once_per_policy(monkeypatch):
     built = []
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *args: built.append(args) or compile_(*args))
-    validate_templates("EN")  # matches one template at a time on a fresh cue set
+    # one template at a time on a fresh cue set, as a template check matches
+    cue_set = builtin_cue_set("EN").with_all_enabled()
+    for template in (*(_TEMPLATES[rule.id] for rule in cue_set.rules), *_DISTRACTORS["EN"]):
+        hits_of(instantiate_template(template, "probenoun"), cue_set)
     assert len(built) == 2 * len(builtin_cue_set("EN").rules)
     assert len(set(built)) == len(built)
 

@@ -4,17 +4,17 @@ from collections import Counter
 import pytest
 
 from eventnouns.corpus import parse_tagged_corpus
-from eventnouns.cues import builtin_cue_set, match_sentences
+from eventnouns.cues import builtin_cue_set, load_cue_set, match_sentences
 from eventnouns.data import (
     GoldStandard,
     SynthParams,
+    _DISTRACTORS,
     _TEMPLATES,
     draw_log_counts,
     english_gold,
     generate_synthetic_corpus,
     instantiate_template,
     load_gold,
-    validate_templates,
     write_draw_log_csv,
     write_gold_csv,
 )
@@ -98,6 +98,18 @@ def test_gold_standard_rejects_non_string_label(label):
         GoldStandard("EN", {"war": "EVENT", "tree": label})
 
 
+@pytest.mark.parametrize("row, message", [
+    ("guerra,EVENT,x", "expected 2 fields, got 3"),
+    (" ,EVENT", "empty lemma"),
+], ids=["three-fields", "empty-lemma"])
+def test_load_gold_row_error_names_file_and_row(tmp_path, row, message):
+    path = tmp_path / "gold.csv"
+    path.write_text("lemma,label\ntren,NON_EVENT\n" + row + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_gold(str(path))
+    assert str(exc.value) == f"{path}:3: {message}"
+
+
 def test_load_gold_rejects_unknown_label(tmp_path):
     path = tmp_path / "gold.csv"
     path.write_text("guerra,MAYBE\n")
@@ -107,21 +119,21 @@ def test_load_gold_rejects_unknown_label(tmp_path):
 
 # --- templates ------------------------------------------------------------------
 
-def test_templates_validate_for_both_languages():
-    validate_templates("ES")
-    validate_templates("EN")
-
-
 @pytest.mark.parametrize("language", ["ES", "EN"])
 def test_each_template_fires_its_rule_exactly_once(language):
+    # every rule is enabled, so disabled rules keep honest templates too;
+    # hits on filler nouns ("end" in "at the end of") are harmless, as
+    # fillers are never targets, but no other rule may hit the target, and
+    # a distractor template, given as rule None, makes no rule hit it
     cue_set = builtin_cue_set(language).with_all_enabled()
-    for rule in cue_set.rules:
-        sentence = instantiate_template(_TEMPLATES[rule.id], "probenoun")
+    cases = [(rule.id, _TEMPLATES[rule.id]) for rule in cue_set.rules]
+    cases += [(None, template) for template in _DISTRACTORS[language]]
+    for rule_id, template in cases:
+        sentence = instantiate_template(template, "probenoun")
         hits = match_sentences((sentence,), cue_set)
-        own = [h for h in hits if h.cue_id == rule.id]
-        assert len(own) == 1, rule.id
-        assert own[0].lemma == "probenoun"
-        assert [h for h in hits if h.lemma == "probenoun"] == own
+        own = [h for h in hits if h.cue_id == rule_id]
+        assert len(own) == (rule_id is not None), (rule_id, template)
+        assert [h for h in hits if h.lemma == "probenoun"] == own, (rule_id, template)
 
 
 # --- synthetic corpus --------------------------------------------------------------
@@ -252,9 +264,24 @@ def test_draw_log_csv(tmp_path):
     assert len(lines) == len(result.draw_log) + 1
 
 
-def test_generator_rejects_rules_without_templates():
-    from eventnouns.cues import load_cue_set
+@pytest.mark.parametrize("language", ["ES", "EN"])
+def test_generator_compiles_no_pattern(monkeypatch, language):
+    built = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *args: built.append(args) or compile_(*args))
+    generate_synthetic_corpus(small_params(), language=language)
+    assert built == []
 
+
+@pytest.mark.parametrize("language", ["FR", "en"])
+def test_generator_rejects_a_language_without_templates(language):
+    cue_set = load_cue_set(["Z-1\tpositive\tlemma=during TARGET"], language)
+    message = f"no sentence templates for language {language!r} (expected ES or EN)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_synthetic_corpus(small_params(), cue_set)
+
+
+def test_generator_rejects_rules_without_templates():
     custom = load_cue_set(["Z-1\tpositive\tlemma=near TARGET"], "EN")
     with pytest.raises(ValueError) as exc:
         generate_synthetic_corpus(small_params(), custom)

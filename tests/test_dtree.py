@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -101,6 +102,12 @@ def test_unknown_labels_are_rejected(labels):
     message = f"unknown label: '{unknown}' (expected EVENT or NON_EVENT)"
     with pytest.raises(ValueError, match=re.escape(message)):
         make_examples([[0, 1, 2, 3]], labels * 2)
+
+
+def test_best_split_needs_two_examples():
+    with pytest.raises(ValueError) as exc:
+        best_split([ex([1], EVENT)], 0)
+    assert str(exc.value) == "best_split needs at least 2 examples"
 
 
 def test_best_split_respects_min_leaf():
@@ -389,6 +396,14 @@ def test_classify_dimension_check():
         classify(tree, FeatureVector("w", (0, 0), 0))
 
 
+def test_classify_rejects_an_empty_leaf():
+    tree = TreeNode({EVENT: 1, NON_EVENT: 1}, attribute=0, threshold=0.5,
+                    left=TreeNode({EVENT: 0, NON_EVENT: 0}), right=TreeNode({EVENT: 1}))
+    with pytest.raises(ValueError) as exc:
+        classify(tree, FeatureVector("w", (0,), 0))
+    assert str(exc.value) == "reached an empty leaf"
+
+
 def test_confidence_ranges():
     rng = random.Random(77)
     examples = [ex([rng.randint(0, 3)], rng.choice([EVENT, NON_EVENT]), f"w{i}")
@@ -459,6 +474,46 @@ def test_model_file_roundtrip(tmp_path):
     assert cue_ids == ("C-1", "C-2")
     assert loaded_params == params
     assert language == "EN"
+
+
+def _saved_model(tmp_path):
+    tree = TreeNode({EVENT: 1, NON_EVENT: 1}, attribute=0, threshold=0.5,
+                    left=TreeNode({NON_EVENT: 1}), right=TreeNode({EVENT: 1}))
+    path = tmp_path / "model.json"
+    save_model(tree, str(path), cue_ids=["C-1"], params=TreeParams())
+    return path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda model: model["tree"].update(left=5), "bad model node: 5"),
+    (lambda model: model.update(params=[1]), "bad model params: [1]"),
+], ids=["number-node", "list-params"])
+def test_load_model_rejects_a_part_that_is_not_an_object(tmp_path, edit, message):
+    path = _saved_model(tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_model_names_the_file_of_damaged_json(tmp_path):
+    path = _saved_model(tmp_path)
+    text = path.read_text()[:50]
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    with pytest.raises(ValueError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == f"{path}: {decode.value}"
+
+
+def test_model_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = _saved_model(tmp_path)
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_model(str(marked)) == load_model(str(path))
 
 
 def test_format_tree_renders_tests_and_leaves():

@@ -101,6 +101,13 @@ def test_fold_errors():
 
 # --- cross validation -----------------------------------------------------------
 
+def test_cross_validate_needs_labels():
+    unlabeled = Dataset(("C-0",), (FeatureVector("a", (0,), 0), FeatureVector("b", (1,), 1)))
+    with pytest.raises(ValueError) as exc:
+        cross_validate(unlabeled, TreeParams(), k=2, seed=0)
+    assert str(exc.value) == "cross_validate needs a labeled dataset"
+
+
 def test_separable_dataset_scores_perfectly():
     report = cross_validate(separable_dataset(), TreeParams(), k=10, seed=0)
     assert report.mean_accuracy == 1.0

@@ -323,11 +323,23 @@ def test_read_dataset_csv_rejects_non_finite_counts(tmp_path, row):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("lemma,total,C-1,C-1\nwar,4,3,3\n", "duplicate cue ids in dataset: C-1"),
-    ("lemma,total,C-1\nmap,2,0\n,4,3\n", "empty lemma"),
-], ids=["duplicate-cue", "empty-lemma"])
+    ("lemma,total,C-1,C-1\nwar,4,3,3\n", ": duplicate cue ids in dataset: C-1"),
+    ("lemma,total,C-1\nmap,2,0\n,4,3\n", ":3: feature vector with an empty lemma"),
+    ("lemma,total,label,EN-1\nwar,4,3,1\n",
+     ": cue id 'label' names the dataset's label column"),
+    ("lemma,total,C-1\nwar,4,3\nWar,4,3\n", ": duplicate lemmas in dataset: war"),
+], ids=["duplicate-cue", "empty-lemma", "label-not-last", "lemma-case"])
 def test_read_dataset_csv_rejects_malformed_keys(tmp_path, text, message):
     path = tmp_path / "dataset.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         read_dataset_csv(str(path))
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_read_dataset_csv_lowercases_lemmas(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("lemma,total,C-1,label\nWar,4,3,EVENT\n")
+    dataset = read_dataset_csv(str(path))
+    assert [v.lemma for v in dataset.vectors] == ["war"]
+    assert dataset.labels == {"war": EVENT}
