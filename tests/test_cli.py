@@ -163,17 +163,6 @@ def test_lemma_list_may_start_with_a_byte_order_mark(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["map", "2"], ["war", "2"]]
 
 
-def test_cue_file_error_names_the_file(tmp_path, capsys):
-    cues = tmp_path / "rules.tsv"
-    cues.write_text("X-1\tpositive\tlemma=during TARGET\nX-2\tpositive\n", encoding="utf-8")
-    out = tmp_path / "d.csv"
-    assert run(["extract", "--corpus", write_corpus(tmp_path), "--cues", str(cues),
-                "--builtin-gold", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {cues}: cue line 2: expected 3 or 4 tab-separated fields, got 2\n")
-    assert not out.exists()
-
-
 # each reader's input with a byte that is not UTF-8 at position 3 of line 2
 # or 3, and a command that reads it; BAD stands for its path
 _NOT_UTF8 = {
@@ -378,37 +367,6 @@ def test_every_csv_file_has_one_format(tmp_path, capsys):
         copy = tmp_path / "copy.csv"
         write(read(str(written[name])), str(copy))
         assert copy.read_bytes() == written[name].read_bytes(), name
-
-
-def test_model_may_start_with_a_byte_order_mark(tmp_path, capsys):
-    _, dataset = full_pipeline(tmp_path, capsys)
-    model = tmp_path / "model.json"
-    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
-    marked = tmp_path / "marked.json"
-    marked.write_bytes(BOM.encode("utf-8") + model.read_bytes())
-    lexicons = []
-    for path in (model, marked):
-        out = tmp_path / f"{path.stem}.lexicon.csv"
-        assert run(["classify", "--model", str(path), "--dataset", dataset,
-                    "--out", str(out)]) == 0
-        lexicons.append(out.read_bytes())
-    assert lexicons[0] == lexicons[1]
-
-
-def test_damaged_model_error_names_the_file(tmp_path, capsys):
-    _, dataset = full_pipeline(tmp_path, capsys)
-    model = tmp_path / "model.json"
-    assert run(["train", "--dataset", dataset, "--out", str(model)]) == 0
-    text = model.read_text(encoding="utf-8")[:50]
-    model.write_text(text, encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError) as decode:
-        json.loads(text)
-    capsys.readouterr()
-    lexicon = tmp_path / "lexicon.csv"
-    assert run(["classify", "--model", str(model), "--dataset", dataset,
-                "--out", str(lexicon)]) == 1
-    assert capsys.readouterr().err == f"error: {model}: {decode.value}\n"
-    assert not lexicon.exists()
 
 
 def test_classify_dimension_mismatch(tmp_path, capsys):
@@ -685,9 +643,7 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, messag
     ("war,4,3", ":2", "row for 'war' has 3 fields, expected 4"),
     ("tree,4,3,EVENT", "", "duplicate lemmas in dataset: tree"),
     ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
-    ("war,4,3,EVENT\nWar,4,3,EVENT", "", "duplicate lemmas in dataset: war"),
-], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label",
-        "lemma-case"])
+], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label"])
 def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")
