@@ -27,38 +27,23 @@ class UsageError(Exception):
     pass
 
 
-_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_UNIT_INTERVAL = (lambda v: 0 <= v <= 1, "in [0, 1]")
+def _in_range(allowed: str, accepts) -> type[argparse.Action]:
+    """An action for a numeric flag: it stores a value that ``accepts``
+    takes and raises UsageError for any other, while the flags are parsed.
+    Rules that tie two flags together stay with the code that uses them."""
 
-# numeric flags by argparse dest: (accepts the value, allowed range); rules
-# that tie two flags together stay with the code that uses them
-_FLAG_RANGES = {
-    "k": (lambda v: v >= 2, ">= 2"),
-    "min_leaf": _AT_LEAST_ONE,
-    "cf": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "threshold": _UNIT_INTERVAL,
-    "n_event": _AT_LEAST_ONE,
-    "n_non_event": _AT_LEAST_ONE,
-    "occ_min": _AT_LEAST_ONE,
-    "occ_max": _AT_LEAST_ONE,
-    "p_event": _UNIT_INTERVAL,
-    "p_non_event": _UNIT_INTERVAL,
-    "noise": _UNIT_INTERVAL,
-    "silence": _UNIT_INTERVAL,
-    "silence_event": _UNIT_INTERVAL,
-    "silence_non_event": _UNIT_INTERVAL,
-}
+    class InRange(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if not accepts(value):
+                raise UsageError(f"{self.option_strings[0]} must be {allowed}, "
+                                 f"got {value:g}")
+            setattr(namespace, self.dest, value)
+
+    return InRange
 
 
-def _check_flag_ranges(args) -> None:
-    """Reject an out-of-range numeric flag as bad usage, before any work.
-
-    A flag left at a default of None is not checked."""
-    for dest, value in vars(args).items():
-        in_range, allowed = _FLAG_RANGES.get(dest, (None, None))
-        if in_range and value is not None and not in_range(value):
-            flag = "--" + dest.replace("_", "-")
-            raise UsageError(f"{flag} must be {allowed}, got {value:g}")
+_AT_LEAST_ONE = _in_range(">= 1", lambda v: v >= 1)
+_UNIT_INTERVAL = _in_range("in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 # evaluate flags that only shape extraction from a corpus, which --dataset skips
@@ -282,9 +267,10 @@ def _add_corpus_options(parser, *, corpus_required):
 
 
 def _add_tree_options(parser):
-    parser.add_argument("--min-leaf", type=int, default=2,
+    parser.add_argument("--min-leaf", type=int, default=2, action=_AT_LEAST_ONE,
                         help="minimum examples per split side (default 2)")
     parser.add_argument("--cf", type=float, default=0.25,
+                        action=_in_range("in (0, 1)", lambda v: 0 < v < 1),
                         help="pruning confidence factor (default 0.25)")
     parser.add_argument("--no-prune", action="store_true",
                         help="disable pessimistic pruning")
@@ -326,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="labeled dataset CSV (alternative to --corpus + gold)")
     _add_corpus_options(p, corpus_required=False)
     _add_tree_options(p)
-    p.add_argument("--k", type=int, default=10, help="number of folds (default 10)")
+    p.add_argument("--k", type=int, default=10, action=_in_range(">= 2", lambda v: v >= 2),
+                   help="number of folds (default 10)")
     p.add_argument("--seed", type=int, required=True,
                    help="seed for fold assignment")
-    p.add_argument("--threshold", type=float, default=0.8,
+    p.add_argument("--threshold", type=float, default=0.8, action=_UNIT_INTERVAL,
                    help="confidence threshold for the accepted lexicon (default 0.8)")
     p.add_argument("--out", default=".", metavar="DIR")
     p.set_defaults(handler=_cmd_evaluate)
@@ -341,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic tagged corpus")
     p.add_argument("--lang", default="EN", type=str.upper, choices=["EN", "ES"])
-    p.add_argument("--n-event", type=int, default=100)
-    p.add_argument("--n-non-event", type=int, default=100)
-    p.add_argument("--p-event", type=float, default=0.4)
-    p.add_argument("--p-non-event", type=float, default=0.02)
-    p.add_argument("--occ-min", type=int, default=10)
-    p.add_argument("--occ-max", type=int, default=30)
-    p.add_argument("--silence", type=float, default=0.0,
+    p.add_argument("--n-event", type=int, default=100, action=_AT_LEAST_ONE)
+    p.add_argument("--n-non-event", type=int, default=100, action=_AT_LEAST_ONE)
+    p.add_argument("--p-event", type=float, default=0.4, action=_UNIT_INTERVAL)
+    p.add_argument("--p-non-event", type=float, default=0.02, action=_UNIT_INTERVAL)
+    p.add_argument("--occ-min", type=int, default=10, action=_AT_LEAST_ONE)
+    p.add_argument("--occ-max", type=int, default=30, action=_AT_LEAST_ONE)
+    p.add_argument("--silence", type=float, default=0.0, action=_UNIT_INTERVAL,
                    help="silent lemma fraction for both classes")
-    p.add_argument("--silence-event", type=float, default=None)
-    p.add_argument("--silence-non-event", type=float, default=None)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--silence-event", type=float, action=_UNIT_INTERVAL)
+    p.add_argument("--silence-non-event", type=float, action=_UNIT_INTERVAL)
+    p.add_argument("--noise", type=float, default=0.0, action=_UNIT_INTERVAL)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="synth", metavar="DIR")
     p.set_defaults(handler=_cmd_synth)
@@ -360,10 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_flag_ranges(args)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

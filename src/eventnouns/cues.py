@@ -74,8 +74,14 @@ class TokenConstraint:
             values = getattr(self, name)
             if values is not None:
                 object.__setattr__(self, name, frozenset(v.lower() for v in values))
+                if "" in values:
+                    raise ValueError(f"empty {name[:-3]} value")
         if frozenset() in (self.lemma_in, self.surface_in, self.tag_in):
             raise ValueError("a constraint field must name at least one value")
+        for entry in self.lemma_in or ():
+            if "" in entry.split(" "):  # a literal's word that no token has
+                raise ValueError(f"multi-token lemma literal "
+                                 f"{entry.replace(' ', '+')!r} has an empty word")
         for tag in self.tag_in or ():
             check_tag(tag)  # the check a corpus token's tag passes
         if self.lemma_in is not None and any(" " in entry for entry in self.lemma_in):
@@ -391,7 +397,10 @@ def match_sentences(sentences: Iterable[Sentence], cue_set: CueSet, *,
 
 # --- rule file format -----------------------------------------------------
 
-def _parse_atom(atom: str, where: str) -> TokenConstraint:
+_FIELDS = {"lemma": "lemma_in", "surface": "surface_in", "tag": "tag_in"}
+
+
+def _parse_atom(atom: str) -> TokenConstraint:
     repeat = Repeat.ONE
     if atom.endswith("?"):
         repeat = Repeat.OPTIONAL
@@ -400,63 +409,58 @@ def _parse_atom(atom: str, where: str) -> TokenConstraint:
         repeat = Repeat.STAR
         atom = atom[:-1]
     if not atom:
-        raise ValueError(f"{where}: empty pattern atom")
-    lemma_in = surface_in = tag_in = None
+        raise ValueError("empty pattern atom")
+    fields = {}
     for field in atom.split(","):
         if field == "any":
             continue
         key, sep, value = field.partition("=")
         if not sep or not value:
-            raise ValueError(f"{where}: bad pattern atom {field!r}")
-        values = frozenset(v.replace("+", " ") for v in value.split("|"))
-        if key == "lemma":
-            lemma_in = values
-        elif key == "surface":
-            surface_in = values
-        elif key == "tag":
-            tag_in = values
-        else:
-            raise ValueError(f"{where}: unknown constraint field {key!r}")
-    return TokenConstraint(lemma_in=lemma_in, surface_in=surface_in,
-                           tag_in=tag_in, repeat=repeat)
+            raise ValueError(f"bad pattern atom {field!r}")
+        if key not in _FIELDS:
+            raise ValueError(f"unknown constraint field {key!r}")
+        if _FIELDS[key] in fields:
+            raise ValueError(f"constraint field {key!r} given twice")
+        fields[_FIELDS[key]] = frozenset(v.replace("+", " ") for v in value.split("|"))
+    return TokenConstraint(**fields, repeat=repeat)
 
 
-def parse_pattern(pattern: str, where: str = "pattern") -> tuple[tuple[TokenConstraint, ...], int]:
+def parse_pattern(pattern: str) -> tuple[tuple[TokenConstraint, ...], int]:
     """Parse a space-separated atom sequence; returns (elements, target index)."""
     elements: list[TokenConstraint] = []
     target_index = None
     for atom in pattern.split():
         if atom == "TARGET":
             if target_index is not None:
-                raise ValueError(f"{where}: more than one TARGET slot")
+                raise ValueError("more than one TARGET slot")
             target_index = len(elements)
             elements.append(TokenConstraint(tag_in=frozenset({"NOUN"})))
         else:
-            elements.append(_parse_atom(atom, where))
+            elements.append(_parse_atom(atom))
     if target_index is None:
-        raise ValueError(f"{where}: pattern has no TARGET slot")
+        raise ValueError("pattern has no TARGET slot")
     return tuple(elements), target_index
 
 
 def load_cue_set(lines: Iterable[str], language: str) -> CueSet:
-    """Load a cue set from rule-file lines (see module docstring)."""
+    """Load a cue set from rule-file lines (see module docstring); an error
+    in one rule begins with its line, as in ``cue line 2: ``."""
     rules = []
     for line_number, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in (3, 4):
-            raise ValueError(f"cue line {line_number}: expected 3 or 4 "
-                             f"tab-separated fields, got {len(fields)}")
-        rule_id, polarity, pattern = fields[0], fields[1], fields[2]
-        enabled = True
-        if len(fields) == 4:
-            if fields[3] not in ("enabled", "disabled"):
-                raise ValueError(f"cue line {line_number}: bad flag {fields[3]!r}")
-            enabled = fields[3] == "enabled"
-        elements, target_index = parse_pattern(pattern, f"cue line {line_number}")
-        rules.append(CueRule(rule_id, polarity, elements, target_index, enabled))
+        flag = fields[3] if len(fields) == 4 else "enabled"
+        try:
+            if len(fields) not in (3, 4):
+                raise ValueError(f"expected 3 or 4 tab-separated fields, got {len(fields)}")
+            if flag not in ("enabled", "disabled"):
+                raise ValueError(f"bad flag {flag!r}")
+            rules.append(CueRule(fields[0], fields[1], *parse_pattern(fields[2]),
+                                 flag == "enabled"))
+        except ValueError as exc:
+            raise ValueError(f"cue line {line_number}: {exc}") from None
     return CueSet(language, tuple(rules))
 
 

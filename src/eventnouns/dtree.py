@@ -353,6 +353,13 @@ def count_nodes(node: TreeNode) -> int:
     return 1 + count_nodes(node.left) + count_nodes(node.right)
 
 
+def _max_attribute(node: TreeNode) -> int:
+    """The highest attribute the tree tests; -1 for a leaf."""
+    if node.is_leaf:
+        return -1
+    return max(node.attribute, _max_attribute(node.left), _max_attribute(node.right))
+
+
 def tree_depth(node: TreeNode) -> int:
     """Number of edges on the longest root-to-leaf path."""
     if node.is_leaf:
@@ -424,31 +431,33 @@ def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     import json
     from .corpus import open_input
     with open_input(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":
-        raise ValueError(f"{path}: not an eventnouns tree model")
-    raw = _required(payload, "params", f"{path}: model")
-    if type(raw) is not dict:
-        raise ValueError(f"{path}: bad model params: {raw!r}")
-    values = {}
-    for field in fields(TreeParams):
-        value = _required(raw, field.name, f"{path}: model 'params'")
-        # a field's default has its JSON type: bool flags, an int min_leaf
-        # and a float confidence factor, so a bool is no number here
-        if type(value) is not type(field.default):
-            raise ValueError(f"{path}: bad model param {field.name}: {value!r}")
-        values[field.name] = value
-    params = TreeParams(**values)
+        text = fh.read()
     try:
+        payload = json.loads(text)
+        if type(payload) is not dict or payload.get("format") != "eventnouns-tree/1":
+            raise ValueError("not an eventnouns tree model")
+        raw = _required(payload, "params", "model")
+        if type(raw) is not dict:
+            raise ValueError(f"bad model params: {raw!r}")
+        values = {}
+        for field in fields(TreeParams):
+            value = _required(raw, field.name, "model 'params'")
+            # a field's default has its JSON type: bool flags, an int min_leaf
+            # and a float confidence factor, so a bool is no number here
+            if type(value) is not type(field.default):
+                raise ValueError(f"bad model param {field.name}: {value!r}")
+            values[field.name] = value
+        params = TreeParams(**values)
         tree = tree_from_dict(_required(payload, "tree", "model"))
+        cue_ids = _required(payload, "cue_ids", "model")
+        if type(cue_ids) is not list or not all(type(c) is str for c in cue_ids):
+            raise ValueError(f"bad model cue ids: {cue_ids!r}")
+        attribute = _max_attribute(tree)
+        if attribute >= len(cue_ids):
+            raise ValueError(f"tree tests attribute {attribute} but the model has "
+                             f"{len(cue_ids)} cue ids")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    cue_ids = _required(payload, "cue_ids", f"{path}: model")
-    if type(cue_ids) is not list or not all(type(c) is str for c in cue_ids):
-        raise ValueError(f"{path}: bad model cue ids: {cue_ids!r}")
     return tree, tuple(cue_ids), params, payload.get("language", "")
 
 

@@ -183,11 +183,16 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
 
 def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1.
-    The file is opened with :func:`corpus.open_input`."""
+    The file is opened with :func:`corpus.open_input`; a row the ``csv``
+    module cannot read raises ``ValueError`` with ``path:row``."""
+    row_number = 0
     with open_input(path, newline="") as fh:
-        for row_number, row in enumerate(csv.reader(fh), start=1):
-            if row:
-                yield row_number, row
+        try:
+            for row_number, row in enumerate(csv.reader(fh), start=1):
+                if row:
+                    yield row_number, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{row_number + 1}: {exc}") from None
 
 
 def _format_number(value: float) -> str:

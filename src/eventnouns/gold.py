@@ -85,15 +85,14 @@ def load_gold(path: str, *, language: str = "") -> GoldStandard:
     for row_number, row in read_csv_rows(path):
         if row_number == 1 and row == ["lemma", "label"]:
             continue
-        if len(row) != 2:
-            raise ValueError(f"{path}:{row_number}: expected 2 fields, "
-                             f"got {len(row)}")
-        lemma = row[0].strip().lower()
-        if not lemma:
-            raise ValueError(f"{path}:{row_number}: empty lemma")
-        if lemma in entries:
-            raise ValueError(f"{path}:{row_number}: duplicate lemma {lemma!r}")
         try:
+            if len(row) != 2:
+                raise ValueError(f"expected 2 fields, got {len(row)}")
+            lemma = row[0].strip().lower()
+            if not lemma:
+                raise ValueError("empty lemma")
+            if lemma in entries:
+                raise ValueError(f"duplicate lemma {lemma!r}")
             entries[lemma] = normalize_label(row[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{row_number}: {exc}") from None

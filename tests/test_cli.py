@@ -21,6 +21,8 @@ TINY_CORPUS = (
     "the\tthe\tDET\nmap\tmap\tNOUN\nof\tof\tADP\nthem\tthey\tPRON\n"
 )
 
+HUGE_FIELD = "x" * 140_000  # beyond the csv module's field limit of 131,072
+
 
 def run(argv):
     try:
@@ -523,8 +525,9 @@ def test_classify_names_a_missing_model_key(tmp_path, capsys, edit, message):
     ("c,FOO,EVENT,0.9", "unknown label: 'FOO'"),
     ("d,NON_EVENT,BAR,0.9", "unknown label: 'BAR'"),
     ("e,EVENT,EVENT", "expected 4 fields, got 3"),
+    (HUGE_FIELD + ",,EVENT,1", "field larger than field limit (131072)"),
 ], ids=["nan-confidence", "confidence-above-1", "bad-gold", "bad-predicted",
-        "3-fields"])
+        "3-fields", "huge-field"])
 def test_curve_rejects_malformed_predictions(tmp_path, capsys, row, message):
     predictions = tmp_path / "predictions.csv"
     predictions.write_text("lemma,gold,predicted,confidence\n"
@@ -541,22 +544,81 @@ LABELED_DATASET = ("lemma,total,X-1,label\n"
                    "map,2,0,NON_EVENT\ntree,5,1,NON_EVENT\n")
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["evaluate", "--seed", "1", "--k", "2", "--threshold", "1.5"], "--threshold"),
-    (["evaluate", "--seed", "1", "--k", "1"], "--k"),
-    (["evaluate", "--seed", "1", "--k", "2", "--min-leaf", "0"], "--min-leaf"),
-    (["evaluate", "--seed", "1", "--k", "2", "--cf", "1.5"], "--cf"),
-    (["train", "--min-leaf", "0"], "--min-leaf"),
-    (["train", "--cf", "0"], "--cf"),
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--seed", "1", "--k", "2", "--threshold", "1.5"],
+     "--threshold must be in [0, 1], got 1.5"),
+    (["evaluate", "--seed", "1", "--k", "1"], "--k must be >= 2, got 1"),
+    (["evaluate", "--seed", "1", "--k", "2", "--min-leaf", "0"],
+     "--min-leaf must be >= 1, got 0"),
+    (["evaluate", "--seed", "1", "--k", "2", "--cf", "1.5"],
+     "--cf must be in (0, 1), got 1.5"),
+    (["train", "--min-leaf", "0"], "--min-leaf must be >= 1, got 0"),
+    (["train", "--cf", "0"], "--cf must be in (0, 1), got 0"),
 ], ids=["evaluate-threshold", "evaluate-k", "evaluate-min-leaf", "evaluate-cf",
         "train-min-leaf", "train-cf"])
-def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, flag):
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET, encoding="utf-8")
     out = tmp_path / "out"
     assert run([*argv, "--dataset", str(dataset), "--out", str(out)]) == 2
-    assert flag in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # rejected before any work
+
+
+def test_range_error_comes_before_a_missing_required_flag(tmp_path, capsys):
+    assert run(["train", "--min-leaf", "0", "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: --min-leaf must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--threshold", "2", "--k", "1"], "--threshold must be in [0, 1], got 2"),
+    (["--k", "1", "--threshold", "2"], "--k must be >= 2, got 1"),
+], ids=["threshold-first", "k-first"])
+def test_first_bad_flag_in_argv_is_reported(tmp_path, capsys, argv, message):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET, encoding="utf-8")
+    assert run(["evaluate", "--seed", "1", *argv, "--dataset", str(dataset),
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+ONE_CUE_MODEL = {
+    "format": "eventnouns-tree/1", "language": "", "cue_ids": ["X-1"],
+    "params": {"min_leaf": 2, "confidence_factor": 0.25, "pruning": True,
+               "laplace_confidence": False},
+    "tree": {"counts": {"EVENT": 2, "NON_EVENT": 2}, "attribute": 0, "threshold": 0.5,
+             "left": {"counts": {"NON_EVENT": 2}}, "right": {"counts": {"EVENT": 2}}},
+}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda model: model["params"].update(min_leaf=0), "min_leaf must be >= 1"),
+    (lambda model: model["params"].update(confidence_factor=1.5),
+     "confidence_factor must be in (0, 1)"),
+    (lambda model: model["tree"].update(attribute=5),
+     "tree tests attribute 5 but the model has 1 cue ids"),
+    (lambda model: model["tree"]["right"].update(
+        attribute=1, threshold=0.5, left={"counts": {"EVENT": 1}},
+        right={"counts": {"EVENT": 1}}),
+     "tree tests attribute 1 but the model has 1 cue ids"),
+], ids=["zero-min-leaf", "confidence-factor", "root-attribute", "deep-attribute"])
+def test_classify_names_the_model_of_a_bad_value(tmp_path, capsys, edit, message):
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_text(LABELED_DATASET, encoding="utf-8")
+    payload = json.loads(json.dumps(ONE_CUE_MODEL))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    lexicon = tmp_path / "lexicon.csv"
+    assert run(["classify", "--model", str(model), "--dataset", str(dataset),
+                "--out", str(lexicon)]) == 0  # the unedited model classifies
+    edit(payload)
+    model.write_text(json.dumps(payload))
+    lexicon.unlink()
+    capsys.readouterr()
+    assert run(["classify", "--model", str(model), "--dataset", str(dataset),
+                "--out", str(lexicon)]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert not lexicon.exists()
 
 
 @pytest.mark.parametrize("extra", [
@@ -643,7 +705,9 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, messag
     ("war,4,3", ":2", "row for 'war' has 3 fields, expected 4"),
     ("tree,4,3,EVENT", "", "duplicate lemmas in dataset: tree"),
     ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
-], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label"])
+    (HUGE_FIELD + ",4,3,EVENT", ":2", "field larger than field limit (131072)"),
+], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label",
+        "huge-field"])
 def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")
@@ -677,7 +741,9 @@ def test_missing_input_is_usage_error(tmp_path, capsys, argv, message):
 def test_synth_bad_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
     out = tmp_path / "synth"
     assert run(["synth", "--seed", "1", flag, value, "--out", str(out)]) == 2
-    assert f"{flag} must be" in capsys.readouterr().err
+    allowed = ">= 1" if flag in ("--occ-min", "--occ-max", "--n-event",
+                                 "--n-non-event") else "in [0, 1]"
+    assert capsys.readouterr().err == f"error: {flag} must be {allowed}, got {value}\n"
     assert not out.exists()  # rejected before any work
 
 

@@ -254,8 +254,24 @@ def test_cue_file_errors():
     ("X-1\tpositive\tlemma=during ? TARGET", "cue line 2: empty pattern atom"),
     ("X-1\tpositive\tfoo=x TARGET", "cue line 2: unknown constraint field 'foo'"),
     ("X-1\tpositive\tlemma=take+place,tag=VERB TARGET",
-     "multi-token lemma literals cannot combine with surface or tag constraints"),
-], ids=["field-count", "flag", "empty-atom", "unknown-field", "literal-with-tag"])
+     "cue line 2: multi-token lemma literals cannot combine with surface or tag constraints"),
+    ("X-1\tpositive\ttag=FOO TARGET", "cue line 2: unknown coarse tag: 'FOO'"),
+    ("X-1\tsideways\tTARGET", "cue line 2: bad polarity: 'sideways'"),
+    ("X-1\tpositive\ttag=VERB: TARGET", "cue line 2: empty tag refinement: 'VERB:'"),
+    ("X-1\tpositive\tlemma=take+place* TARGET",
+     "cue line 2: multi-token lemma literals cannot repeat"),
+    ("X-1\tpositive\tlemma=take++place TARGET",
+     "cue line 2: multi-token lemma literal 'take++place' has an empty word"),
+    ("X-1\tpositive\tlemma=+take TARGET",
+     "cue line 2: multi-token lemma literal '+take' has an empty word"),
+    ("X-1\tpositive\tlemma=a| TARGET", "cue line 2: empty lemma value"),
+    ("X-1\tpositive\tsurface=|the TARGET", "cue line 2: empty surface value"),
+    ("X-1\tpositive\tlemma=a,lemma=b TARGET",
+     "cue line 2: constraint field 'lemma' given twice"),
+], ids=["field-count", "flag", "empty-atom", "unknown-field", "literal-with-tag",
+        "unknown-tag", "bad-polarity", "empty-refinement", "repeating-literal",
+        "literal-double-plus", "literal-leading-plus", "empty-lemma-value",
+        "empty-surface-value", "repeated-field"])
 def test_cue_line_error_message(tmp_path, line, message):
     lines = ["# a comment line counts", line]
     with pytest.raises(ValueError) as exc:
@@ -299,6 +315,19 @@ def test_constraint_validation():
     for field in ("lemma_in", "surface_in", "tag_in"):  # would match no token
         with pytest.raises(ValueError, match="at least one value"):
             TokenConstraint(**{field: frozenset()})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"lemma_in": frozenset({"a", ""})}, "empty lemma value"),
+    ({"surface_in": frozenset({""})}, "empty surface value"),
+    ({"lemma_in": frozenset({"take  place"})},
+     "multi-token lemma literal 'take++place' has an empty word"),
+    ({"lemma_in": frozenset({"take "})}, "multi-token lemma literal 'take+' has an empty word"),
+], ids=["empty-lemma", "empty-surface", "double-space", "trailing-space"])
+def test_constraint_built_in_code_refuses_a_value_that_never_matches(fields, message):
+    with pytest.raises(ValueError) as exc:
+        TokenConstraint(**fields)
+    assert str(exc.value) == message
 
 
 def test_lemma_constraint_is_lowercased_like_corpus_lemmas():

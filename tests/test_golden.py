@@ -43,6 +43,15 @@ RULES = ("# custom rules\n"
 
 LATIN1 = b"\ncaf\xe9\tcaf\xe9\tNOUN\n"
 
+# a model over one cue, split on its count
+ONE_CUE_MODEL = {
+    "format": "eventnouns-tree/1", "language": "", "cue_ids": ["X-1"],
+    "params": {"min_leaf": 2, "confidence_factor": 0.25, "pruning": True,
+               "laplace_confidence": False},
+    "tree": {"counts": {"EVENT": 1, "NON_EVENT": 1}, "attribute": 0, "threshold": 0.5,
+             "left": {"counts": {"NON_EVENT": 1}}, "right": {"counts": {"EVENT": 1}}},
+}
+
 INPUTS = {
     "tiny.tsv": TINY.encode(),
     "crlf.tsv": TINY.replace("\n", "\r\n").encode(),
@@ -64,6 +73,14 @@ INPUTS = {
                                b"war,EVENT,EVENT,0.9\ncaf\xe9,NON_EVENT,EVENT,0.6\n"),
     "latin1_model.json": b'{"format": "eventnouns-tree/1", "language": "caf\xe9"}\n',
     "cased_dataset.csv": b"lemma,total,X-1,label\nwar,4,3,EVENT\nWar,4,3,EVENT\n",
+    "tag_rules.tsv": b"C-1\tpositive\tlemma=during TARGET\nC-2\tpositive\ttag=FOO TARGET\n",
+    # a field beyond the csv module's limit of 131,072 characters
+    "huge_gold.csv": b"lemma,label\nwar,EVENT\n" + b"x" * 140_000 + b",EVENT\n",
+    "one_cue_dataset.csv": b"lemma,total,X-1\nwar,4,3\nmap,2,0\n",
+    "zero_min_leaf_model.json": json.dumps(dict(ONE_CUE_MODEL, params={
+        **ONE_CUE_MODEL["params"], "min_leaf": 0})).encode(),
+    "attribute_model.json": json.dumps(dict(ONE_CUE_MODEL, tree={
+        **ONE_CUE_MODEL["tree"], "attribute": 5})).encode(),
 }
 
 
@@ -147,6 +164,14 @@ STEPS = [
     ("dataset-non-utf8", ["train", "--dataset", "latin1_dataset.csv", "--out", "x.json"]),
     ("predictions-non-utf8", ["curve", "--predictions", "latin1_predictions.csv",
                               "--out", "x.csv"]),
+    ("cue-rule-error", ["extract", "--corpus", "tiny.tsv", "--cues", "tag_rules.tsv",
+                        "--builtin-gold", "--out", "x.csv"]),
+    ("gold-field-too-large", ["extract", "--corpus", "tiny.tsv", "--gold",
+                              "huge_gold.csv", "--out", "x.csv"]),
+    ("model-zero-min-leaf", ["classify", "--model", "zero_min_leaf_model.json",
+                             "--dataset", "one_cue_dataset.csv", "--out", "x.csv"]),
+    ("model-attribute-beyond-cues", ["classify", "--model", "attribute_model.json",
+                                     "--dataset", "one_cue_dataset.csv", "--out", "x.csv"]),
 ]
 
 
