@@ -5,23 +5,28 @@ replacement pruning, and leaf class distributions that double as prediction
 confidence. Everything is deterministic: ties break toward the lowest
 attribute index, the lowest threshold, and the NON_EVENT class.
 
-Growth keeps a ``value -> count`` histogram per attribute and label for
-each node, counting only the smaller child of a split and subtracting it
-from the parent's for the larger, so that a histogram always holds the
-node's counts only, with no zero entries. Split search is done once per
-node: the node's two class totals and their entropy are computed once,
-and each attribute's scan walks its distinct values with two integer left
-counts, one per label, scoring each boundary with a two-count entropy.
+Growth works on row bitmasks: a Python ``int`` whose bit ``i`` stands
+for row ``i`` of the training set, so a node is the mask of its rows and
+a split hands its children ``mask & left`` and ``mask & ~left``. A
+:class:`ColumnIndex`, built once per dataset, holds each attribute's
+sorted distinct values with one row mask per value, and one mask per
+label. A node's class counts are popcounts of ANDs with the label masks.
+Split search is done once per node: the node's two class totals and
+their entropy are computed once, and each attribute's scan walks the
+values held at the node with two integer left counts, one per label,
+scoring each boundary with a two-count entropy. A child's scan walks only
+the values its parent's rows hold, so a small node of a column with many
+distinct values does not visit them all.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .features import FeatureVector, LABELS, NON_EVENT
+from .features import EVENT, FeatureVector, LABELS, NON_EVENT
 
 # gains and gain-ratio differences below this are treated as zero so that
 # float noise cannot create degenerate splits or unstable tie-breaks
@@ -74,6 +79,17 @@ class TreeNode:
     def total(self) -> int:
         return sum(self.class_counts.values())
 
+    @cached_property
+    def _votes(self) -> tuple[str, float, float]:
+        """What the node predicts as a leaf: the majority label, its share,
+        and its Laplace-smoothed share. Computed once per node."""
+        total = self.total
+        if total == 0:
+            raise ValueError("reached an empty leaf")
+        predicted = _majority(self.class_counts)
+        majority = self.class_counts[predicted]
+        return predicted, majority / total, (majority + 1) / (total + 2)
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -111,10 +127,13 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     """
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
-    histograms = [Counter(ex.vector.counts[attribute] for ex in examples
-                          if ex.label == label) for label in LABELS]
-    totals = [sum(histogram.values()) for histogram in histograms]
-    return _best_threshold(histograms, totals, _entropy2(*totals), min_leaf)
+    column = _value_masks([ex.vector.counts[attribute] for ex in examples])
+    event = sum(1 << i for i, ex in enumerate(examples) if ex.label == EVENT)
+    n_event = event.bit_count()
+    totals = (n_event, len(examples) - n_event)
+    # a boundary has examples on both sides, so min_leaf 0 acts as 1
+    return _best_threshold(column, (1 << len(examples)) - 1, event, totals,
+                           _entropy2(*totals), max(min_leaf, 1))[0]
 
 
 def _entropy2(a: int, b: int) -> float:
@@ -130,47 +149,119 @@ def _entropy2(a: int, b: int) -> float:
     return result
 
 
-def _best_threshold(histograms: Sequence[Mapping[float, int]], totals: Sequence[int],
-                    total_entropy: float,
-                    min_leaf: int) -> tuple[float, float, float] | None:
-    """:func:`best_split` over one ``value -> count`` histogram per label.
+def _value_masks(column: Sequence) -> list[tuple]:
+    """``(value, mask)`` for each distinct value of ``column`` in sorted
+    order, where the mask holds the rows with that value: bit ``i`` stands
+    for ``column[i]``.
 
-    There are exactly two labels; ``totals`` are their counts at the node,
-    and ``total_entropy`` is ``entropy(totals)``, both computed once per
-    node by the caller. The scan visits each distinct value once, not each
-    example, and keeps the two integer counts of the examples left of it.
-    Labels enter the entropies in label order, not in the order a scan
-    over the sorted examples would meet them, but a sum of two entropy
-    terms is the same float in either order. So every gain and ratio is
-    bit-identical to the per-example scan's.
+    The column becomes a text with one character per row: its value's rank
+    among the values. Translating that text gives the texts of the rank's
+    high and low base-64 digits; the rows whose digit is ``d`` are read off
+    its text, and a value's mask is the AND of its two digits' masks. So a
+    column of ``k`` values costs about ``k / 64 + 64`` passes over its rows,
+    where reading each value's mask off the rank text would cost ``k``.
     """
-    first, second = histograms
-    values = sorted(first.keys() | second.keys())
-    if len(values) < 2:
-        return None
+    values = sorted(set(column))
+    rank = {value: chr(r) for r, value in enumerate(values)}
+    text = "".join(map(rank.__getitem__, reversed(column)))
+    k = len(values)
+    high = _digit_masks(text.translate([chr(r >> 6) for r in range(k)]), (k + 63) >> 6)
+    low = _digit_masks(text.translate([chr(r & 63) for r in range(k)]), min(k, 64))
+    return [(value, high[r >> 6] & low[r & 63]) for r, value in enumerate(values)]
+
+
+def _digit_masks(text: str, count: int) -> list[int]:
+    """For each digit ``d < count``, the mask of the rows whose character in
+    ``text``, row 0 last, is ``chr(d)``: the text translated to ``1`` at
+    ``d`` and ``0`` elsewhere, read as a binary number."""
+    table = ["0"] * count
+    masks = []
+    for d in range(count):
+        table[d] = "1"
+        masks.append(int(text.translate(table), 2))
+        table[d] = "0"
+    return masks
+
+
+class ColumnIndex:
+    """One dataset's rows as bitmasks, built once: bit ``i`` of a mask
+    stands for row ``i``.
+
+    ``columns[a]`` pairs each distinct value of attribute ``a``, in sorted
+    order, with the mask of its rows; ``label_masks`` maps each label
+    present, in sorted order, to the mask of its rows; ``rows`` is the mask
+    of every row.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[float]], labels: Sequence[str]):
+        self.rows = (1 << len(rows)) - 1
+        self.columns = [_value_masks(column) for column in zip(*rows)]
+        self.label_masks = dict(_value_masks(labels))
+
+
+def _at_most(column: list[tuple], mask: int, threshold: float) -> int:
+    """The rows of ``mask`` whose value in ``column``, a list of ``(value,
+    rows)`` pairs in value order, is ``<= threshold``."""
+    below = 0
+    for value, rows in column:
+        if value > threshold:
+            break
+        below |= rows
+    return mask & below
+
+
+def _best_threshold(column: list[tuple], mask: int, first: int,
+                    totals: Sequence[int], total_entropy: float, min_leaf: int
+                    ) -> tuple[tuple[float, float, float] | None, list[tuple]]:
+    """:func:`best_split` over ``column``, the ``(value, rows)`` pairs of a
+    :class:`ColumnIndex` column, for the node of the rows in ``mask``;
+    ``min_leaf`` is at least 1. Also returns the pairs of the values held
+    by a row of ``mask``: a child's rows hold no other, so its scan walks
+    only those.
+
+    There are exactly two labels: ``first`` is the mask of the first
+    label's rows, and every other row has the second. ``totals`` are their
+    counts at the node, and ``total_entropy`` is ``entropy(totals)``, both
+    computed once per node by the caller. The scan walks the values held by
+    a row of ``mask`` in order, counting the rows left of the boundary and
+    those of them with the first label, and stops once every row is
+    counted. Labels enter
+    the entropies in label order, not in the order a scan over the sorted
+    examples would meet them, but a sum of two entropy terms is the same
+    float in either order. So every gain and ratio is bit-identical to the
+    per-example scan's.
+    """
     total0, total1 = totals
     n = total0 + total1
-    left0 = left1 = 0
+    n_left = left0 = 0
     best: tuple[float, float, float] | None = None
-    for value, next_value in zip(values, values[1:]):
-        left0 += first.get(value, 0)
-        left1 += second.get(value, 0)
-        n_left = left0 + left1
+    held = []
+    for pair in column:
+        hit = mask & pair[1]
+        if not hit:
+            continue
+        held.append(pair)
+        value = pair[0]
         n_right = n - n_left
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        gain = (total_entropy
-                - (n_left / n) * _entropy2(left0, left1)
-                - (n_right / n) * _entropy2(total0 - left0, total1 - left1))
-        if gain <= _EPS:
-            continue
-        p_left = n_left / n
-        split_info = -(p_left * math.log2(p_left)
-                       + (1 - p_left) * math.log2(1 - p_left))
-        ratio = gain / split_info
-        if best is None or ratio > best[2] + _EPS:
-            best = ((value + next_value) / 2, gain, ratio)
-    return best
+        # the boundary between the previous value held and this one
+        if n_left >= min_leaf and n_right >= min_leaf:
+            p_left = n_left / n
+            right0 = total0 - left0
+            gain = (total_entropy
+                    - p_left * _entropy2(left0, n_left - left0)
+                    - (n_right / n) * _entropy2(right0, n_right - right0))
+            if gain > _EPS:
+                split_info = -(p_left * math.log2(p_left)
+                               + (1 - p_left) * math.log2(1 - p_left))
+                ratio = gain / split_info
+                if best is None or ratio > best[2] + _EPS:
+                    best = ((previous + value) / 2, gain, ratio)
+        left0 += (hit & first).bit_count()
+        n_left += hit.bit_count()
+        if n_left == n:
+            break
+        previous = value
+    return best, held
 
 
 def pessimistic_upper_bound(errors: int, n: int, confidence_factor: float) -> float:
@@ -189,15 +280,21 @@ def pessimistic_upper_bound(errors: int, n: int, confidence_factor: float) -> fl
         return 1.0 - confidence_factor ** (1.0 / n)
     if errors >= n:
         return 1.0
-    # imported here: statistics pulls in fractions and decimal, which only
-    # pruning needs
-    from statistics import NormalDist
-    z = NormalDist().inv_cdf(1.0 - confidence_factor)
+    z = _z(confidence_factor)
     f = (errors + 0.5) / n
     upper = (f + z * z / (2 * n)
              + z * math.sqrt(f * (1 - f) / n + z * z / (4 * n * n))) \
         / (1 + z * z / n)
     return min(1.0, upper)
+
+
+@lru_cache(maxsize=16)
+def _z(confidence_factor: float) -> float:
+    """The normal quantile of ``1 - confidence_factor``."""
+    # imported here: statistics pulls in fractions and decimal, which only
+    # pruning needs
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(1.0 - confidence_factor)
 
 
 def _majority(class_counts: Mapping[str, int]) -> str:
@@ -218,7 +315,6 @@ def train(examples: Sequence[LabeledExample],
     threshold. Pruning replaces a subtree with a leaf whenever the leaf's
     pessimistic error estimate does not exceed the subtree's.
     """
-    params = params or TreeParams()
     examples = list(examples)
     if not examples:
         raise ValueError("cannot train on an empty example set")
@@ -227,73 +323,56 @@ def train(examples: Sequence[LabeledExample],
         if len(ex.vector.counts) != dim:
             raise ValueError(
                 f"inconsistent dimensionality: {len(ex.vector.counts)} vs {dim}")
-    label_order = sorted({ex.label for ex in examples})
-    groups = [[ex.vector.counts for ex in examples if ex.label == label]
-              for label in label_order]
-    node = _grow(groups, _histograms(groups, dim), params, label_order)
+    index = ColumnIndex([ex.vector.counts for ex in examples],
+                        [ex.label for ex in examples])
+    return train_rows(index, index.rows, params)
+
+
+def train_rows(index: ColumnIndex, mask: int,
+               params: TreeParams | None = None) -> TreeNode:
+    """:func:`train` on the rows of ``index`` in ``mask``."""
+    params = params or TreeParams()
+    if not mask:
+        raise ValueError("cannot train on an empty example set")
+    labels = [(label, rows) for label, rows in index.label_masks.items() if rows & mask]
+    node = _grow(mask, index.columns, labels, params)
     if params.pruning:
         node, _ = _pruned(node, params.confidence_factor)
     return node
 
 
-def _histograms(groups, dim) -> list[tuple[Counter, ...]]:
-    """Per attribute, one ``value -> count`` Counter per label.
-
-    ``groups`` holds each label's count vectors, in label order.
-    """
-    by_label = [[Counter(column) for column in zip(*rows)]
-                or [Counter() for _ in range(dim)] for rows in groups]
-    return list(zip(*by_label))
-
-
-def _grow(groups, histograms, params, label_order) -> TreeNode:
-    """Grow the subtree of the vectors in ``groups``, one list per label.
-
-    ``histograms`` are the node's own, as :func:`_histograms` would count
-    them. A split counts only its smaller child; the larger child's
-    histograms are the parent's minus the smaller's.
-    """
-    counts = {label: len(rows) for label, rows in zip(label_order, groups)}
-    n = sum(counts.values())
+def _grow(mask: int, columns: list[list[tuple]], labels: list[tuple[str, int]],
+          params: TreeParams) -> TreeNode:
+    """Grow the subtree of the rows in ``mask``. ``columns`` holds, per
+    attribute, the ``(value, rows)`` pairs of at least the values held by
+    those rows, in value order; ``labels`` pairs each label of the training
+    rows, in sorted order, with the mask of its rows."""
+    counts = {label: (mask & rows).bit_count() for label, rows in labels}
+    n = mask.bit_count()
     if max(counts.values()) == n or n < 2 * params.min_leaf:
         return TreeNode(counts)
-    # not pure, so both labels are here: exactly two groups and totals
+    # not pure, so both labels are here: exactly two totals
     totals = list(counts.values())
-    best = _best_node_split(histograms, totals, _entropy2(*totals), params.min_leaf)
-    if best is None:
-        return TreeNode(counts)
-    attribute, threshold = best
-    left = [[row for row in rows if row[attribute] <= threshold] for rows in groups]
-    right = [[row for row in rows if row[attribute] > threshold] for rows in groups]
-    left_is_smaller = 2 * sum(map(len, left)) <= n
-    smaller = _histograms(left if left_is_smaller else right, len(histograms))
-    # drop the entries that fall to zero; a zero-count value left behind
-    # would add a boundary that moves the midpoint thresholds
-    larger = [tuple({v: d for v, c in p.items() if (d := c - s.get(v, 0))}
-                    for p, s in zip(parent, small))
-              for parent, small in zip(histograms, smaller)]
-    left_histograms, right_histograms = \
-        (smaller, larger) if left_is_smaller else (larger, smaller)
-    return TreeNode(counts, attribute, threshold,
-                    _grow(left, left_histograms, params, label_order),
-                    _grow(right, right_histograms, params, label_order))
-
-
-def _best_node_split(histograms, totals, total_entropy,
-                     min_leaf) -> tuple[int, float] | None:
-    """``(attribute, threshold)`` of the best split over all attributes.
-
-    Ties go to the lowest attribute.
-    """
+    total_entropy = _entropy2(*totals)
+    first = labels[0][1]
+    held = []
     best = None  # (ratio, attribute, threshold)
-    for attribute, per_label in enumerate(histograms):
-        candidate = _best_threshold(per_label, totals, total_entropy, min_leaf)
+    for attribute, column in enumerate(columns):
+        candidate, column_held = _best_threshold(column, mask, first, totals,
+                                                 total_entropy, params.min_leaf)
+        held.append(column_held)
         if candidate is None:
             continue
         threshold, _, ratio = candidate
         if best is None or ratio > best[0] + _EPS:
             best = (ratio, attribute, threshold)
-    return None if best is None else best[1:]
+    if best is None:
+        return TreeNode(counts)
+    _, attribute, threshold = best
+    left = _at_most(held[attribute], mask, threshold)
+    return TreeNode(counts, attribute, threshold,
+                    _grow(left, held, labels, params),
+                    _grow(mask & ~left, held, labels, params))
 
 
 def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:
@@ -325,26 +404,23 @@ def classify(tree: TreeNode, vector: FeatureVector, *,
     Laplace-smoothed variant ``(majority + 1) / (total + 2)``. Ties predict
     NON_EVENT.
     """
+    return Prediction(vector.lemma, *predict(tree, vector, laplace=laplace))
+
+
+def predict(tree: TreeNode, vector: FeatureVector, *,
+            laplace: bool = False) -> tuple[str, float]:
+    """:func:`classify`'s ``(predicted, confidence)``."""
     node = tree
-    while not node.is_leaf:
-        if node.attribute >= len(vector.counts):
-            raise ValueError(
-                f"vector for {vector.lemma!r} has {len(vector.counts)} "
-                f"attributes but the tree tests attribute {node.attribute}")
-        if vector.counts[node.attribute] <= node.threshold:
-            node = node.left
-        else:
-            node = node.right
-    total = node.total
-    if total == 0:
-        raise ValueError("reached an empty leaf")
-    predicted = _majority(node.class_counts)
-    majority_count = node.class_counts[predicted]
-    if laplace:
-        confidence = (majority_count + 1) / (total + 2)
-    else:
-        confidence = majority_count / total
-    return Prediction(vector.lemma, predicted, confidence)
+    counts = vector.counts
+    try:
+        while node.attribute is not None:
+            node = node.left if counts[node.attribute] <= node.threshold else node.right
+    except IndexError:
+        raise ValueError(
+            f"vector for {vector.lemma!r} has {len(counts)} attributes "
+            f"but the tree tests attribute {node.attribute}") from None
+    predicted, share, smoothed = node._votes
+    return predicted, smoothed if laplace else share
 
 
 def count_nodes(node: TreeNode) -> int:

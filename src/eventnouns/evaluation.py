@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dtree import LabeledExample, Prediction, TreeParams, classify, train
+from .dtree import ColumnIndex, Prediction, TreeParams, predict, train_rows
 from .features import Dataset, EVENT, normalize_label, read_csv_rows, write_csv
 
 DEFAULT_THRESHOLDS = tuple(i / 20 for i in range(21))
@@ -73,20 +73,20 @@ def cross_validate(dataset: Dataset, params: TreeParams | None = None,
     if dataset.labels is None:
         raise ValueError("cross_validate needs a labeled dataset")
     folds = stratified_folds(dataset, k, seed)
-    examples = [LabeledExample(v, dataset.labels[v.lemma]) for v in dataset.vectors]
+    vectors = dataset.vectors
+    golds = [dataset.labels[v.lemma] for v in vectors]
+    # one index for every fold: a fold trains on the rows outside its mask
+    index = ColumnIndex([v.counts for v in vectors], golds)
     pooled: list[Prediction] = []
     fold_accuracies = []
     for fold in folds:
-        held_out = set(fold)
-        tree = train([e for i, e in enumerate(examples) if i not in held_out], params)
+        tree = train_rows(index, index.rows & ~sum(1 << i for i in fold), params)
         correct = 0
         for i in fold:
-            vector, gold = examples[i].vector, examples[i].label
-            prediction = classify(tree, vector, laplace=params.laplace_confidence)
-            pooled.append(Prediction(vector.lemma, prediction.predicted,
-                                     prediction.confidence, gold))
-            if prediction.predicted == gold:
-                correct += 1
+            vector, gold = vectors[i], golds[i]
+            predicted, confidence = predict(tree, vector, laplace=params.laplace_confidence)
+            pooled.append(Prediction(vector.lemma, predicted, confidence, gold))
+            correct += predicted == gold
         fold_accuracies.append(correct / len(fold))
     pooled.sort(key=lambda p: p.lemma)
     total_correct = sum(1 for p in pooled if p.predicted == p.gold)

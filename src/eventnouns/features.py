@@ -184,15 +184,25 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
 def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1.
     The file is opened with :func:`corpus.open_input`; a row the ``csv``
-    module cannot read raises ``ValueError`` with ``path:row``."""
+    module cannot read, or one that holds a NUL byte, raises ``ValueError``
+    with ``path:row``."""
     row_number = 0
     with open_input(path, newline="") as fh:
         try:
-            for row_number, row in enumerate(csv.reader(fh), start=1):
+            for row_number, row in enumerate(csv.reader(_refuse_nul(fh)), start=1):
                 if row:
                     yield row_number, row
         except csv.Error as exc:
             raise ValueError(f"{path}:{row_number + 1}: {exc}") from None
+
+
+def _refuse_nul(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, raising at one that holds NUL as the ``csv`` module of
+    Python 3.10 does; from 3.11 on, that module reads NUL as data."""
+    for line in lines:
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
 
 
 def _format_number(value: float) -> str:

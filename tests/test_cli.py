@@ -526,8 +526,9 @@ def test_classify_names_a_missing_model_key(tmp_path, capsys, edit, message):
     ("d,NON_EVENT,BAR,0.9", "unknown label: 'BAR'"),
     ("e,EVENT,EVENT", "expected 4 fields, got 3"),
     (HUGE_FIELD + ",,EVENT,1", "field larger than field limit (131072)"),
+    ("f\0,EVENT,EVENT,1", "line contains NUL"),
 ], ids=["nan-confidence", "confidence-above-1", "bad-gold", "bad-predicted",
-        "3-fields", "huge-field"])
+        "3-fields", "huge-field", "nul"])
 def test_curve_rejects_malformed_predictions(tmp_path, capsys, row, message):
     predictions = tmp_path / "predictions.csv"
     predictions.write_text("lemma,gold,predicted,confidence\n"
@@ -706,8 +707,9 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, messag
     ("tree,4,3,EVENT", "", "duplicate lemmas in dataset: tree"),
     ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
     (HUGE_FIELD + ",4,3,EVENT", ":2", "field larger than field limit (131072)"),
+    ("w\0ar,4,3,EVENT", ":2", "line contains NUL"),
 ], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label",
-        "huge-field"])
+        "huge-field", "nul"])
 def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")

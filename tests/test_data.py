@@ -102,7 +102,8 @@ def test_gold_standard_rejects_non_string_label(label):
     ("guerra,EVENT,x", "expected 2 fields, got 3"),
     (" ,EVENT", "empty lemma"),
     ("x" * 140_000 + ",EVENT", "field larger than field limit (131072)"),
-], ids=["three-fields", "empty-lemma", "huge-field"])
+    ("m\0ap,NON_EVENT", "line contains NUL"),
+], ids=["three-fields", "empty-lemma", "huge-field", "nul"])
 def test_load_gold_row_error_names_file_and_row(tmp_path, row, message):
     path = tmp_path / "gold.csv"
     path.write_text("lemma,label\ntren,NON_EVENT\n" + row + "\n")

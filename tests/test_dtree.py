@@ -3,11 +3,13 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eventnouns.dtree import (
+    ColumnIndex,
     LabeledExample,
     TreeNode,
     TreeParams,
@@ -24,7 +26,7 @@ from eventnouns.dtree import (
     tree_from_dict,
     tree_to_dict,
 )
-from eventnouns.evaluation import cross_validate
+from eventnouns.evaluation import cross_validate, stratified_folds
 from eventnouns.features import (
     Dataset,
     EVENT,
@@ -32,7 +34,7 @@ from eventnouns.features import (
     NON_EVENT,
     to_relative,
 )
-from eventnouns import dtree
+from eventnouns import dtree, evaluation
 
 
 def ex(counts, label, lemma="w"):
@@ -570,23 +572,28 @@ def _reference_node_split(examples, min_leaf):
     return None if best is None else best[1:]
 
 
-def _reference_grow(groups, histograms, params, label_order):
-    """Growth without histograms: each node is split by the pairwise scan
-    over its own examples. Stands in for ``dtree._grow``."""
-    counts = {label: len(rows) for label, rows in zip(label_order, groups)}
-    examples = [ex(row, label) for label, rows in zip(label_order, groups)
-                for row in rows]
+def _reference_grow(examples, params, label_order):
+    """Growth without masks or histograms: each node is split by the
+    pairwise scan over its own examples. The oracle of ``dtree._grow``."""
+    counts = {label: sum(1 for e in examples if e.label == label)
+              for label in label_order}
     if sum(1 for c in counts.values() if c) == 1 or len(examples) < 2 * params.min_leaf:
         return TreeNode(counts)
     best = _reference_node_split(examples, params.min_leaf)
     if best is None:
         return TreeNode(counts)
     attribute, threshold = best
-    left = [[row for row in rows if row[attribute] <= threshold] for rows in groups]
-    right = [[row for row in rows if row[attribute] > threshold] for rows in groups]
+    left = [e for e in examples if e.vector.counts[attribute] <= threshold]
+    right = [e for e in examples if e.vector.counts[attribute] > threshold]
     return TreeNode(counts, attribute, threshold,
-                    _reference_grow(left, None, params, label_order),
-                    _reference_grow(right, None, params, label_order))
+                    _reference_grow(left, params, label_order),
+                    _reference_grow(right, params, label_order))
+
+
+def _reference_train(examples, params):
+    """:func:`train` by the reference grower and the two-pass pruning."""
+    tree = _reference_grow(examples, params, sorted({e.label for e in examples}))
+    return _reference_pruned(tree, params.confidence_factor) if params.pruning else tree
 
 
 def _seeded_dataset(seed, n, relative=False):
@@ -611,7 +618,7 @@ def _examples_of(dataset):
 
 
 @pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative):
+def test_histogram_split_search_matches_pairwise_reference(relative):
     datasets = [_examples_of(_seeded_dataset(900 + seed, 40 + 30 * seed, relative))
                 for seed in range(5)]
     for examples in datasets:
@@ -623,23 +630,55 @@ def test_histogram_split_search_matches_pairwise_reference(monkeypatch, relative
     grid = [TreeParams(min_leaf=min_leaf, confidence_factor=cf, pruning=pruning)
             for cf in (0.05, 0.25, 0.5, 0.9) for min_leaf in (1, 2, 5)
             for pruning in (True, False)]
+    trees = [tree_to_dict(train(examples, params))
+             for examples in datasets for params in grid]
+    assert trees == [tree_to_dict(_reference_train(examples, params))
+                     for examples in datasets for params in grid]
+    assert max(count_nodes(tree_from_dict(t)) for t in trees) > 15
 
-    def trees():
-        return [tree_to_dict(train(examples, params))
-                for examples in datasets for params in grid]
 
-    histogram_trees = trees()
-    monkeypatch.setattr(dtree, "_grow", _reference_grow)
-    assert histogram_trees == trees()
-    assert max(count_nodes(tree_from_dict(t)) for t in histogram_trees) > 15
+def _fold_training_sets(dataset, k, seed):
+    examples = _examples_of(dataset)
+    for fold in stratified_folds(dataset, k, seed):
+        held_out = set(fold)
+        yield fold, [e for i, e in enumerate(examples) if i not in held_out]
 
 
 @pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_cross_validation_matches_pairwise_reference(monkeypatch, relative):
+def test_cross_validation_matches_pairwise_reference(relative):
     dataset = _seeded_dataset(77, 1000, relative)
-    report = cross_validate(dataset, TreeParams(), k=10, seed=5)
-    monkeypatch.setattr(dtree, "_grow", _reference_grow)
-    assert report == cross_validate(dataset, TreeParams(), k=10, seed=5)
+    params = TreeParams()
+    report = cross_validate(dataset, params, k=10, seed=5)
+    predictions, accuracies = [], []
+    for fold, training in _fold_training_sets(dataset, 10, 5):
+        tree = _reference_train(training, params)
+        correct = 0
+        for i in fold:
+            vector, gold = dataset.vectors[i], dataset.labels[dataset.vectors[i].lemma]
+            prediction = classify(tree, vector)
+            predictions.append(replace(prediction, gold=gold))
+            correct += prediction.predicted == gold
+        accuracies.append(correct / len(fold))
+    assert report.predictions == sorted(predictions, key=lambda p: p.lemma)
+    assert report.fold_accuracies == accuracies
+
+
+@pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
+def test_each_fold_tree_equals_train_on_its_training_set(monkeypatch, relative, pruning):
+    dataset = _seeded_dataset(31, 400, relative)
+    params = TreeParams(min_leaf=1, pruning=pruning)
+    grown = []
+
+    def recording_train_rows(index, mask, params):
+        grown.append(dtree.train_rows(index, mask, params))
+        return grown[-1]
+
+    monkeypatch.setattr(evaluation, "train_rows", recording_train_rows)
+    cross_validate(dataset, params, k=7, seed=2)
+    assert grown == [train(training, params)
+                     for _, training in _fold_training_sets(dataset, 7, 2)]
+    assert len(grown) == 7 and min(map(count_nodes, grown)) >= 5
 
 
 @st.composite
@@ -661,16 +700,13 @@ def _small_datasets(draw):
 def test_training_matches_pairwise_reference_property(dataset, min_leaf, pruning):
     examples = _examples_of(dataset)
     params = TreeParams(min_leaf=min_leaf, pruning=pruning)
-    tree = train(examples, params)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dtree, "_grow", _reference_grow)
-        assert tree == train(examples, params)
+    assert train(examples, params) == _reference_train(examples, params)
 
 
 def _lopsided_examples(seed, n, relative=False):
     """Three NON_EVENTs to one EVENT, and every EVENT fires C-1 while no
-    NON_EVENT does: the root splits on C-1, and its larger child, counted by
-    subtraction, has lost EVENT entirely."""
+    NON_EVENT does: the root splits on C-1, and its larger, left child holds
+    no EVENT row."""
     rng = random.Random(seed)
     examples = []
     for i in range(n):
@@ -685,28 +721,59 @@ def _lopsided_examples(seed, n, relative=False):
     return examples
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 64, 65, 200, 4097])
+def test_value_masks_hold_each_values_rows(k):
+    # two base-64 rank digits: 64, 65 and 4,097 values cross a digit
+    rng = random.Random(k)
+    column = [rng.randrange(k) / 4 for _ in range(2 * k)]
+    column[::3] = [int(value) for value in column[::3]]  # 2 and 2.0 are one value
+    expected = {}
+    for i, value in enumerate(column):
+        expected[value] = expected.get(value, 0) | 1 << i
+    assert dtree._value_masks(column) == sorted(expected.items())
+
+
+def _rows_of(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def _check_node_masks(node, index, mask, examples):
+    """Walk a grown tree with the row masks its growth gave each node: the
+    left child's from ``dtree._at_most`` and the right child's, the parent's
+    minus the left's. Returns the number of nodes walked."""
+    rows = _rows_of(mask)
+    assert node.class_counts == {label: sum(1 for i in rows if examples[i].label == label)
+                                 for label in index.label_masks}
+    if node.is_leaf:
+        return 1
+    left = dtree._at_most(index.columns[node.attribute], mask, node.threshold)
+    right = mask & ~left
+    assert _rows_of(left) == {i for i in rows
+                              if examples[i].vector.counts[node.attribute] <= node.threshold}
+    assert left | right == mask and not left & right and left and right
+    return (1 + _check_node_masks(node.left, index, left, examples)
+            + _check_node_masks(node.right, index, right, examples))
+
+
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
 @pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_subtracted_histograms_equal_a_fresh_count(monkeypatch, relative, min_leaf):
-    grow = dtree._grow
-    visited = []
-
-    def checked_grow(groups, histograms, params, label_order):
-        fresh = [[Counter(row[attribute] for row in rows) for rows in groups]
-                 for attribute in range(len(histograms))]
-        # as dicts: Counter equality would let zero-count entries through
-        assert [[dict(h) for h in per_label] for per_label in histograms] == \
-            [[dict(h) for h in per_label] for per_label in fresh]
-        visited.append(groups)
-        return grow(groups, histograms, params, label_order)
-
-    monkeypatch.setattr(dtree, "_grow", checked_grow)
+def test_subtracted_histograms_equal_a_fresh_count(relative, min_leaf):
+    """Each node's class counts equal a fresh count of the rows in its mask,
+    and a split's two masks partition its parent's: the right child's is the
+    parent's minus the left's."""
     params = TreeParams(min_leaf=min_leaf, pruning=False)
+
+    def walked(examples):
+        tree = train(examples, params)
+        index = ColumnIndex([e.vector.counts for e in examples], [e.label for e in examples])
+        assert _check_node_masks(tree, index, index.rows, examples) == count_nodes(tree)
+        return tree, index
+
     for seed in range(4):
-        tree = train(_examples_of(_seeded_dataset(300 + seed, 150, relative)), params)
-        assert count_nodes(tree) == len(visited) and count_nodes(tree) > 5
-        visited.clear()
-    tree = train(_lopsided_examples(40, 80, relative), params)
+        tree, _ = walked(_examples_of(_seeded_dataset(300 + seed, 150, relative)))
+        assert count_nodes(tree) > 5
+    tree, index = walked(_lopsided_examples(40, 80, relative))
     assert (tree.attribute, tree.left.class_counts[EVENT]) == (0, 0)
     assert tree.left.total > tree.right.total
-    assert len(visited) == count_nodes(tree)
+    assert not dtree._at_most(index.columns[0], index.rows, tree.threshold) \
+        & index.label_masks[EVENT]

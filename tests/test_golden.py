@@ -77,6 +77,9 @@ INPUTS = {
     # a field beyond the csv module's limit of 131,072 characters
     "huge_gold.csv": b"lemma,label\nwar,EVENT\n" + b"x" * 140_000 + b",EVENT\n",
     "one_cue_dataset.csv": b"lemma,total,X-1\nwar,4,3\nmap,2,0\n",
+    # a NUL byte inside a field: the csv module of Python 3.11 on reads it
+    "nul_gold.csv": b"lemma,label\nwar,EVENT\nm\0ap,NON_EVENT\n",
+    "nul_dataset.csv": b"lemma,total,X-1,label\nwar,4,3,EVENT\nw\0ar,1,0,EVENT\n",
     "zero_min_leaf_model.json": json.dumps(dict(ONE_CUE_MODEL, params={
         **ONE_CUE_MODEL["params"], "min_leaf": 0})).encode(),
     "attribute_model.json": json.dumps(dict(ONE_CUE_MODEL, tree={
@@ -172,6 +175,10 @@ STEPS = [
                              "--dataset", "one_cue_dataset.csv", "--out", "x.csv"]),
     ("model-attribute-beyond-cues", ["classify", "--model", "attribute_model.json",
                                      "--dataset", "one_cue_dataset.csv", "--out", "x.csv"]),
+    ("gold-nul", ["extract", "--corpus", "tiny.tsv", "--gold", "nul_gold.csv",
+                  "--out", "x.csv"]),
+    ("dataset-nul", ["train", "--dataset", "nul_dataset.csv", "--min-leaf", "1",
+                     "--out", "x.json"]),
 ]
 
 
