@@ -138,15 +138,15 @@ def _cmd_extract(args) -> int:
 def _cmd_train(args) -> int:
     dataset = _read_labeled_dataset(args.dataset)
     params = _tree_params(args)
-    index = dtree.ColumnIndex([v.counts for v in dataset.vectors],
-                              [dataset.labels[v.lemma] for v in dataset.vectors])
-    tree = dtree.train_rows(index, index.rows, params)
+    examples = [dtree.LabeledExample(v, dataset.labels[v.lemma])
+                for v in dataset.vectors]
+    tree = dtree.train(examples, params)
     dtree.save_model(tree, args.out, cue_ids=dataset.cue_ids, params=params,
                      language=args.lang)
     if args.tree_text:
         with open(args.tree_text, "w", encoding="utf-8") as fh:
             fh.write(dtree.format_tree(tree, dataset.cue_ids))
-    print(f"trained on {len(dataset)} examples, "
+    print(f"trained on {len(examples)} examples, "
           f"{dtree.count_nodes(tree)} nodes")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -9,24 +9,31 @@ Growth works on row bitmasks: a Python ``int`` whose bit ``i`` stands
 for row ``i`` of the training set, so a node is the mask of its rows and
 a split hands its children ``mask & left`` and ``mask & ~left``. A
 :class:`ColumnIndex`, built once per dataset, holds each attribute's
-sorted distinct values with one row mask per value, and one mask per
-label. A node's class counts are popcounts of ANDs with the label masks.
-Split search is done once per node: the node's two class totals and
-their entropy are computed once, and each attribute's scan walks the
-values held at the node with two integer left counts, one per label,
-scoring each boundary with a two-count entropy. A child's scan walks only
-the values its parent's rows hold, so a small node of a column with many
-distinct values does not visit them all.
+sorted distinct values and one mask per label. The 64 values of a column
+held by the most rows each keep a row mask; any other value keeps the
+places of its few rows, read in the node mask's binary text. A mask
+costs a bit per row, so a column of nearly all distinct values, as
+``--relative`` gives, costs at most 64 masks and one place per row, not a
+mask per value. A node's class counts are popcounts of ANDs with the
+label masks. Split search is done once per node: the node's two class
+totals and their entropy are computed once, and each attribute's scan
+walks the values held at the node with two integer left counts, one per
+label, scoring each boundary with a two-count entropy. A child's scan
+walks only the values its parent's rows hold, so a small node of a column
+with many distinct values does not visit them all.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
+from itertools import compress, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .features import EVENT, FeatureVector, LABELS, NON_EVENT
+from .features import FeatureVector, LABELS, NON_EVENT
 
 # gains and gain-ratio differences below this are treated as zero so that
 # float noise cannot create degenerate splits or unstable tie-breaks
@@ -127,13 +134,13 @@ def best_split(examples: Sequence[LabeledExample], attribute: int, *,
     """
     if len(examples) < 2:
         raise ValueError("best_split needs at least 2 examples")
-    column = _value_masks([ex.vector.counts[attribute] for ex in examples])
-    event = sum(1 << i for i, ex in enumerate(examples) if ex.label == EVENT)
-    n_event = event.bit_count()
-    totals = (n_event, len(examples) - n_event)
+    index = ColumnIndex([(ex.vector.counts[attribute],) for ex in examples],
+                        [ex.label for ex in examples])
+    n_first = index.first[0].bit_count()
+    totals = (n_first, len(examples) - n_first)
     # a boundary has examples on both sides, so min_leaf 0 acts as 1
-    return _best_threshold(column, (1 << len(examples)) - 1, event, totals,
-                           _entropy2(*totals), max(min_leaf, 1))[0]
+    return _best_threshold(index.columns[0], index.node(index.rows), index.first,
+                           totals, _entropy2(*totals), max(min_leaf, 1))[0]
 
 
 def _entropy2(a: int, b: int) -> float:
@@ -149,99 +156,149 @@ def _entropy2(a: int, b: int) -> float:
     return result
 
 
-def _value_masks(column: Sequence) -> list[tuple]:
-    """``(value, mask)`` for each distinct value of ``column`` in sorted
-    order, where the mask holds the rows with that value: bit ``i`` stands
-    for ``column[i]``.
+# a column keeps a row mask for at most this many of its values
+_MASKED = 64
 
-    The column becomes a text with one character per row: its value's rank
-    among the values. Translating that text gives the texts of the rank's
-    high and low base-64 digits; the rows whose digit is ``d`` are read off
-    its text, and a value's mask is the AND of its two digits' masks. So a
-    column of ``k`` values costs about ``k / 64 + 64`` passes over its rows,
-    where reading each value's mask off the rank text would cost ``k``.
+
+def _value_rows(column: Sequence) -> list[tuple]:
+    """``(value, mask, places)`` for each distinct value of ``column``, in
+    sorted order: the value's rows are those of ``mask``, where bit ``i``
+    stands for ``column[i]``, and those at ``places``, in a mask's binary
+    text of ``len(column)`` digits, where row ``i`` is at place
+    ``len(column) - 1 - i``.
+
+    The 64 values held by the most rows each have a mask and no places;
+    every other value has mask 0 and the tuple of its places. A mask costs
+    a bit per row of the column, whatever the rows it holds, so a column of
+    many distinct values costs at most 64 masks and one place per row.
+
+    The column becomes a text with one byte per place: the rank of its
+    row's value among the masked values, or 64 for any other value. A
+    masked value's mask is that text translated to ``1`` at its rank and
+    ``0`` elsewhere, read as a binary number; the other places are sorted
+    by value and grouped. A column of at most 64 values is not counted.
     """
-    values = sorted(set(column))
-    rank = {value: chr(r) for r, value in enumerate(values)}
-    text = "".join(map(rank.__getitem__, reversed(column)))
-    k = len(values)
-    high = _digit_masks(text.translate([chr(r >> 6) for r in range(k)]), (k + 63) >> 6)
-    low = _digit_masks(text.translate([chr(r & 63) for r in range(k)]), min(k, 64))
-    return [(value, high[r >> 6] & low[r & 63]) for r, value in enumerate(values)]
-
-
-def _digit_masks(text: str, count: int) -> list[int]:
-    """For each digit ``d < count``, the mask of the rows whose character in
-    ``text``, row 0 last, is ``chr(d)``: the text translated to ``1`` at
-    ``d`` and ``0`` elsewhere, read as a binary number."""
-    table = ["0"] * count
-    masks = []
-    for d in range(count):
-        table[d] = "1"
-        masks.append(int(text.translate(table), 2))
-        table[d] = "0"
-    return masks
+    values = set(column)
+    many = len(values) > _MASKED
+    masked = [value for value, _ in Counter(column).most_common(_MASKED)] if many else values
+    places = column[::-1]
+    code = {value: r for r, value in enumerate(masked)}
+    text = bytes(map(code.get, places, repeat(_MASKED)))
+    table = bytearray(b"0") * 256
+    entries = []
+    for r, value in enumerate(masked):
+        table[r] = 49  # "1"
+        entries.append((value, int(text.translate(table), 2), ()))
+        table[r] = 48
+    if many:
+        table = bytearray(256)
+        table[_MASKED] = 1
+        placed = sorted(compress(range(len(places)), text.translate(table)),
+                        key=places.__getitem__)
+        entries += [(value, 0, tuple(group))
+                    for value, group in groupby(placed, places.__getitem__)]
+    entries.sort(key=itemgetter(0))
+    return entries
 
 
 class ColumnIndex:
     """One dataset's rows as bitmasks, built once: bit ``i`` of a mask
     stands for row ``i``.
 
-    ``columns[a]`` pairs each distinct value of attribute ``a``, in sorted
-    order, with the mask of its rows; ``label_masks`` maps each label
-    present, in sorted order, to the mask of its rows; ``rows`` is the mask
-    of every row.
+    ``columns[a]`` is :func:`_value_rows` of attribute ``a``;
+    ``label_masks`` maps each label present, in sorted order, to the mask
+    of its rows; ``rows`` is the mask of every row. ``first`` is
+    :meth:`node` of the first label's rows.
     """
 
     def __init__(self, rows: Sequence[Sequence[float]], labels: Sequence[str]):
-        self.rows = (1 << len(rows)) - 1
-        self.columns = [_value_masks(column) for column in zip(*rows)]
-        self.label_masks = dict(_value_masks(labels))
+        self.width = len(rows)
+        self.rows = (1 << self.width) - 1
+        self.columns = [_value_rows(column) for column in zip(*rows)]
+        # only a column of more than 64 values has places
+        self._placed = any(len(column) > _MASKED for column in self.columns)
+        self.label_masks = {label: mask for label, mask, _ in _value_rows(labels)}
+        self.first = self.node(next(iter(self.label_masks.values())))
+
+    def node(self, mask: int) -> tuple[int, str]:
+        """``mask`` with its binary text of ``width`` digits, in which a
+        column's places are read; the text is empty when no column has
+        places."""
+        return mask, format(mask, f"0{self.width}b") if self._placed else ""
+
+    def mask(self, places: Iterable[int]) -> int:
+        """The mask of the rows at ``places``."""
+        text = bytearray(b"0") * self.width
+        for place in places:
+            text[place] = 49  # "1"
+        return int(text, 2)
 
 
-def _at_most(column: list[tuple], mask: int, threshold: float) -> int:
-    """The rows of ``mask`` whose value in ``column``, a list of ``(value,
-    rows)`` pairs in value order, is ``<= threshold``."""
+def _at_most(index: ColumnIndex, column: list[tuple], mask: int,
+             threshold: float) -> int:
+    """The rows of ``mask`` whose value in ``column``, a list of
+    :func:`_value_rows` entries of ``index`` in value order, is ``<=
+    threshold``."""
     below = 0
-    for value, rows in column:
+    places = []
+    for value, rows, value_places in column:
         if value > threshold:
             break
         below |= rows
+        places += value_places
+    if places:
+        below |= index.mask(places)
     return mask & below
 
 
-def _best_threshold(column: list[tuple], mask: int, first: int,
-                    totals: Sequence[int], total_entropy: float, min_leaf: int
+def _best_threshold(column: list[tuple], node: tuple[int, str],
+                    first: tuple[int, str], totals: Sequence[int],
+                    total_entropy: float, min_leaf: int
                     ) -> tuple[tuple[float, float, float] | None, list[tuple]]:
-    """:func:`best_split` over ``column``, the ``(value, rows)`` pairs of a
-    :class:`ColumnIndex` column, for the node of the rows in ``mask``;
-    ``min_leaf`` is at least 1. Also returns the pairs of the values held
-    by a row of ``mask``: a child's rows hold no other, so its scan walks
-    only those.
+    """:func:`best_split` over ``column``, the :func:`_value_rows` entries
+    of a :class:`ColumnIndex` column, for ``node``, the
+    :meth:`ColumnIndex.node` of the node's rows; ``min_leaf`` is at least
+    1. Also returns the entries of the values held by a row of the node: a
+    child's rows hold no other, so its scan walks only those.
 
-    There are exactly two labels: ``first`` is the mask of the first
-    label's rows, and every other row has the second. ``totals`` are their
-    counts at the node, and ``total_entropy`` is ``entropy(totals)``, both
-    computed once per node by the caller. The scan walks the values held by
-    a row of ``mask`` in order, counting the rows left of the boundary and
-    those of them with the first label, and stops once every row is
-    counted. Labels enter
-    the entropies in label order, not in the order a scan over the sorted
-    examples would meet them, but a sum of two entropy terms is the same
-    float in either order. So every gain and ratio is bit-identical to the
-    per-example scan's.
+    There are exactly two labels: ``first`` is the :meth:`ColumnIndex.node`
+    of the first label's rows, and every other row has the second.
+    ``totals`` are their counts at the node, and ``total_entropy`` is
+    ``entropy(totals)``, both computed once per node by the caller. The
+    scan walks the values held by a row of the node in order, counting the
+    rows left of the boundary and those of them with the first label, and
+    stops once every row is counted: a masked value's rows by popcounts, a
+    placed value's by reading the node's and the first label's texts at
+    its places. Labels enter the entropies in label order, not in the
+    order a scan over the sorted examples would meet them, but a sum of
+    two entropy terms is the same float in either order. So every gain and
+    ratio is bit-identical to the per-example scan's.
     """
+    mask, text = node
+    first_mask, first_text = first
     total0, total1 = totals
     n = total0 + total1
     n_left = left0 = 0
     best: tuple[float, float, float] | None = None
     held = []
-    for pair in column:
-        hit = mask & pair[1]
-        if not hit:
+    for entry in column:
+        hit = mask & entry[1]
+        if hit:
+            n_hit = hit.bit_count()
+            hit0 = (hit & first_mask).bit_count()
+        elif entry[2]:
+            n_hit = hit0 = 0
+            for place in entry[2]:
+                if text[place] == "1":
+                    n_hit += 1
+                    if first_text[place] == "1":
+                        hit0 += 1
+            if not n_hit:
+                continue
+        else:
             continue
-        held.append(pair)
-        value = pair[0]
+        held.append(entry)
+        value = entry[0]
         n_right = n - n_left
         # the boundary between the previous value held and this one
         if n_left >= min_leaf and n_right >= min_leaf:
@@ -256,8 +313,8 @@ def _best_threshold(column: list[tuple], mask: int, first: int,
                 ratio = gain / split_info
                 if best is None or ratio > best[2] + _EPS:
                     best = ((previous + value) / 2, gain, ratio)
-        left0 += (hit & first).bit_count()
-        n_left += hit.bit_count()
+        left0 += hit0
+        n_left += n_hit
         if n_left == n:
             break
         previous = value
@@ -335,30 +392,32 @@ def train_rows(index: ColumnIndex, mask: int,
     if not mask:
         raise ValueError("cannot train on an empty example set")
     labels = [(label, rows) for label, rows in index.label_masks.items() if rows & mask]
-    node = _grow(mask, index.columns, labels, params)
+    node = _grow(mask, index.columns, labels, index, params)
     if params.pruning:
         node, _ = _pruned(node, params.confidence_factor)
     return node
 
 
 def _grow(mask: int, columns: list[list[tuple]], labels: list[tuple[str, int]],
-          params: TreeParams) -> TreeNode:
+          index: ColumnIndex, params: TreeParams) -> TreeNode:
     """Grow the subtree of the rows in ``mask``. ``columns`` holds, per
-    attribute, the ``(value, rows)`` pairs of at least the values held by
-    those rows, in value order; ``labels`` pairs each label of the training
-    rows, in sorted order, with the mask of its rows."""
+    attribute, the :func:`_value_rows` entries of ``index`` of at least the
+    values held by those rows, in value order; ``labels`` pairs each label
+    of the training rows, in sorted order, with the mask of its rows."""
     counts = {label: (mask & rows).bit_count() for label, rows in labels}
     n = mask.bit_count()
     if max(counts.values()) == n or n < 2 * params.min_leaf:
         return TreeNode(counts)
-    # not pure, so both labels are here: exactly two totals
+    # not pure, so both labels are here: exactly two totals, and the first
+    # is the index's first
     totals = list(counts.values())
     total_entropy = _entropy2(*totals)
-    first = labels[0][1]
+    node = index.node(mask)
+    first = index.first
     held = []
     best = None  # (ratio, attribute, threshold)
     for attribute, column in enumerate(columns):
-        candidate, column_held = _best_threshold(column, mask, first, totals,
+        candidate, column_held = _best_threshold(column, node, first, totals,
                                                  total_entropy, params.min_leaf)
         held.append(column_held)
         if candidate is None:
@@ -369,10 +428,10 @@ def _grow(mask: int, columns: list[list[tuple]], labels: list[tuple[str, int]],
     if best is None:
         return TreeNode(counts)
     _, attribute, threshold = best
-    left = _at_most(held[attribute], mask, threshold)
+    left = _at_most(index, held[attribute], mask, threshold)
     return TreeNode(counts, attribute, threshold,
-                    _grow(left, held, labels, params),
-                    _grow(mask & ~left, held, labels, params))
+                    _grow(left, held, labels, index, params),
+                    _grow(mask & ~left, held, labels, index, params))
 
 
 def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:

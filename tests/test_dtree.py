@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -596,9 +597,18 @@ def _reference_train(examples, params):
     return _reference_pruned(tree, params.confidence_factor) if params.pruning else tree
 
 
-def _seeded_dataset(seed, n, relative=False):
-    """Labeled count vectors with a noisy signal on the first two cues: many
-    tied values, or, after ``to_relative``, mostly distinct float ones."""
+# the forms of a seeded dataset; "spread" is the one whose columns hold more
+# than 64 distinct values, so that the index keeps most of them as places
+FORMS = ["counts", "relative", "spread"]
+
+
+def _seeded_dataset(seed, n, form="counts"):
+    """Labeled count vectors with a noisy signal on the first two cues, as
+    counts, with many tied values; ``relative``, after ``to_relative``,
+    mostly distinct float ones; or ``spread``, relative with lemma totals
+    spread over thousands, where nearly every value of a column is held by
+    one row, as ``--relative`` gives on a corpus of widely spread lemma
+    frequencies."""
     rng = random.Random(seed)
     vectors, labels = [], {}
     for i in range(n):
@@ -606,20 +616,20 @@ def _seeded_dataset(seed, n, relative=False):
         signal = [rng.randint(1, 5) if label == EVENT and rng.random() > 0.3 else 0
                   for _ in range(2)]
         counts = signal + [rng.randint(0, 3) for _ in range(3)]
-        total = sum(counts) + rng.randint(0, 6)
+        total = sum(counts) + rng.randint(0, 5000 if form == "spread" else 6)
         vectors.append(FeatureVector(f"w{i:04d}", tuple(counts), total))
         labels[f"w{i:04d}"] = label
     dataset = Dataset(("C-1", "C-2", "C-3", "C-4", "C-5"), tuple(vectors), labels)
-    return to_relative(dataset) if relative else dataset
+    return dataset if form == "counts" else to_relative(dataset)
 
 
 def _examples_of(dataset):
     return [LabeledExample(v, dataset.labels[v.lemma]) for v in dataset.vectors]
 
 
-@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_histogram_split_search_matches_pairwise_reference(relative):
-    datasets = [_examples_of(_seeded_dataset(900 + seed, 40 + 30 * seed, relative))
+@pytest.mark.parametrize("form", FORMS)
+def test_histogram_split_search_matches_pairwise_reference(form):
+    datasets = [_examples_of(_seeded_dataset(900 + seed, 40 + 30 * seed, form))
                 for seed in range(5)]
     for examples in datasets:
         for attribute in range(5):
@@ -644,9 +654,9 @@ def _fold_training_sets(dataset, k, seed):
         yield fold, [e for i, e in enumerate(examples) if i not in held_out]
 
 
-@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_cross_validation_matches_pairwise_reference(relative):
-    dataset = _seeded_dataset(77, 1000, relative)
+@pytest.mark.parametrize("form", FORMS)
+def test_cross_validation_matches_pairwise_reference(form):
+    dataset = _seeded_dataset(77, 1000, form)
     params = TreeParams()
     report = cross_validate(dataset, params, k=10, seed=5)
     predictions, accuracies = [], []
@@ -664,9 +674,9 @@ def test_cross_validation_matches_pairwise_reference(relative):
 
 
 @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
-@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_each_fold_tree_equals_train_on_its_training_set(monkeypatch, relative, pruning):
-    dataset = _seeded_dataset(31, 400, relative)
+@pytest.mark.parametrize("form", FORMS)
+def test_each_fold_tree_equals_train_on_its_training_set(monkeypatch, form, pruning):
+    dataset = _seeded_dataset(31, 400, form)
     params = TreeParams(min_leaf=1, pruning=pruning)
     grown = []
 
@@ -722,15 +732,45 @@ def _lopsided_examples(seed, n, relative=False):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 64, 65, 200, 4097])
-def test_value_masks_hold_each_values_rows(k):
-    # two base-64 rank digits: 64, 65 and 4,097 values cross a digit
+def test_value_rows_hold_each_values_rows(k):
+    # past 64 values only the 64 most common keep a mask; 4,097 values
+    # over 8,194 rows are held by one to about eight rows each
     rng = random.Random(k)
     column = [rng.randrange(k) / 4 for _ in range(2 * k)]
     column[::3] = [int(value) for value in column[::3]]  # 2 and 2.0 are one value
     expected = {}
     for i, value in enumerate(column):
         expected[value] = expected.get(value, 0) | 1 << i
-    assert dtree._value_masks(column) == sorted(expected.items())
+    entries = dtree._value_rows(column)
+    assert [value for value, _, _ in entries] == sorted(expected)
+    masked = {value: mask for value, mask, places in entries if not places}
+    placed = {value: places for value, mask, places in entries if not mask}
+    assert len(masked) == min(len(expected), 64) and len(masked) + len(placed) == len(entries)
+    for value, mask, places in entries:
+        assert mask | sum(1 << (len(column) - 1 - p) for p in places) == expected[value]
+    if placed:
+        assert min(map(int.bit_count, masked.values())) >= max(map(len, placed.values()))
+
+
+def test_index_of_distinct_values_grows_linearly_with_its_rows():
+    """A column of nearly all distinct values keeps at most 64 masks and one
+    place per row, so the index of four times the rows takes about four
+    times the memory; a mask for every value would take sixteen times."""
+    def traced_peak(n):
+        dataset = _seeded_dataset(5, n, "spread")
+        rows = [v.counts for v in dataset.vectors]
+        labels = [dataset.labels[v.lemma] for v in dataset.vectors]
+        tracemalloc.start()
+        try:
+            index = ColumnIndex(rows, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(len(column) for column in index.columns) > n // 2
+        assert all(sum(1 for _, mask, _ in column if mask) <= 64
+                   for column in index.columns)
+        return peak
+    assert traced_peak(8000) < 6 * traced_peak(2000)
 
 
 def _rows_of(mask):
@@ -746,7 +786,7 @@ def _check_node_masks(node, index, mask, examples):
                                  for label in index.label_masks}
     if node.is_leaf:
         return 1
-    left = dtree._at_most(index.columns[node.attribute], mask, node.threshold)
+    left = dtree._at_most(index, index.columns[node.attribute], mask, node.threshold)
     right = mask & ~left
     assert _rows_of(left) == {i for i in rows
                               if examples[i].vector.counts[node.attribute] <= node.threshold}
@@ -756,8 +796,8 @@ def _check_node_masks(node, index, mask, examples):
 
 
 @pytest.mark.parametrize("min_leaf", [1, 2, 5])
-@pytest.mark.parametrize("relative", [False, True], ids=["counts", "relative"])
-def test_subtracted_histograms_equal_a_fresh_count(relative, min_leaf):
+@pytest.mark.parametrize("form", FORMS)
+def test_subtracted_histograms_equal_a_fresh_count(form, min_leaf):
     """Each node's class counts equal a fresh count of the rows in its mask,
     and a split's two masks partition its parent's: the right child's is the
     parent's minus the left's."""
@@ -770,10 +810,10 @@ def test_subtracted_histograms_equal_a_fresh_count(relative, min_leaf):
         return tree, index
 
     for seed in range(4):
-        tree, _ = walked(_examples_of(_seeded_dataset(300 + seed, 150, relative)))
+        tree, _ = walked(_examples_of(_seeded_dataset(300 + seed, 150, form)))
         assert count_nodes(tree) > 5
-    tree, index = walked(_lopsided_examples(40, 80, relative))
+    tree, index = walked(_lopsided_examples(40, 80, form != "counts"))
     assert (tree.attribute, tree.left.class_counts[EVENT]) == (0, 0)
     assert tree.left.total > tree.right.total
-    assert not dtree._at_most(index.columns[0], index.rows, tree.threshold) \
+    assert not dtree._at_most(index, index.columns[0], index.rows, tree.threshold) \
         & index.label_masks[EVENT]
