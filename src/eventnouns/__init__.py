@@ -9,22 +9,33 @@ The package root exports the library API the README documents; everything
 else lives in its module (``eventnouns.cues``, ``eventnouns.dtree``, ...).
 """
 
-from .corpus import read_tagged_file
-from .cues import builtin_cue_set
-from .dtree import TreeParams
-from .evaluation import cross_validate, precision_curve
-from .features import attach_labels, extract_features
-from .gold import english_gold
+# each export of the root and its module, imported on first access, so that
+# a command compiles only the modules it runs
+_EXPORTS = {
+    "attach_labels": "features",
+    "builtin_cue_set": "cues",
+    "cross_validate": "evaluation",
+    "english_gold": "gold",
+    "extract_features": "features",
+    "precision_curve": "evaluation",
+    "read_tagged_file": "corpus",
+    "TreeParams": "dtree",
+}
 
-__all__ = [
-    "attach_labels",
-    "builtin_cue_set",
-    "cross_validate",
-    "english_gold",
-    "extract_features",
-    "precision_curve",
-    "read_tagged_file",
-    "TreeParams",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -13,14 +13,16 @@ import itertools
 import os
 import sys
 
-from . import dtree, evaluation, features
-from .corpus import CorpusParseError, open_input, read_tagged_file
+from . import features
+from .corpus import CorpusParseError, open_input, read_tagged_file, split_corpus
 from .cues import TARGET_FIRST_NOUN, TARGET_LAST_NOUN, builtin_cue_set, read_cue_file
-from .gold import english_gold, load_gold, write_gold_csv
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_USAGE = 2
+
+# a corpus is counted in parts, one per CPU, of at least this many bytes each
+PART_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -65,6 +67,8 @@ def _resolve_cue_set(args):
 
 
 def _resolve_gold(args):
+    from .gold import english_gold, load_gold
+
     if args.builtin_gold:
         if args.lang != "EN":
             raise UsageError("--builtin-gold is only available for --lang EN")
@@ -91,14 +95,150 @@ def _read_lemma_list(path: str) -> list[str]:
 def _extract_dataset(args, target_lemmas):
     cue_set = _resolve_cue_set(args)
     _check_files(args.corpus)
-    corpus = itertools.chain.from_iterable(
-        read_tagged_file(path, strict=not args.lenient) for path in args.corpus)
     policy = TARGET_LAST_NOUN if args.last_noun else TARGET_FIRST_NOUN
-    dataset = features.extract_features(corpus, cue_set, target_lemmas,
-                                        target_policy=policy)
+    sizes = [os.stat(path).st_size for path in args.corpus]
+
+    def count(part):
+        sentences = itertools.chain.from_iterable(
+            read_tagged_file(path, strict=not args.lenient, start=start, end=end)
+            for path, start, end in part)
+        counts, totals = features.count_features(sentences, cue_set, target_lemmas,
+                                                 target_policy=policy)
+        return counts, dict(totals)
+
+    parts = split_corpus(args.corpus, sizes, _part_count(sum(sizes)))
+    results = _count_parts(count, parts, args.lenient)
+    counts, totals = results[0]
+    for more_counts, more_totals in results[1:]:
+        for lemma, row in more_counts.items():
+            counts[lemma] = [a + b for a, b in zip(counts[lemma], row)]
+        for lemma, n in more_totals.items():
+            totals[lemma] = totals.get(lemma, 0) + n
+    dataset = features.build_dataset(cue_set, counts, totals)
     if args.relative:
         dataset = features.to_relative(dataset)
     return dataset
+
+
+def _part_count(total_bytes: int) -> int:
+    """The parts to count a corpus of ``total_bytes`` in: one per CPU this
+    process may run on, each of at least PART_BYTES. One where os.fork is
+    missing, or where a second thread runs, as a child of fork() holds
+    only the thread that made it."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, total_bytes // PART_BYTES))
+
+
+def _count_parts(count, parts, lenient: bool):
+    """``count(part)`` for each part, in order: the first in this process,
+    each other in a child from os.fork, started before it.
+
+    A child sends its result, the corpus warnings it logged and its error
+    through a pipe as marshal bytes, and always leaves with os._exit. The
+    warnings are logged again here and the error raised again, part by part
+    in file order, so every message is the one a run in one part gives. A
+    child that ends without a result is an error that names its part. On
+    every path each child is reaped, after a kill if its result is not
+    needed.
+    """
+    children, pipes = [], []
+    try:
+        for part in parts[1:]:
+            pid, fd = _fork_count(count, part, lenient)
+            children.append(pid)
+            pipes.append(open(fd, "rb"))
+        results = [count(parts[0])]
+        for number, pipe in enumerate(pipes, start=2):
+            data = pipe.read()
+            _, status = os.waitpid(children.pop(0), 0)
+            path, start, _ = parts[number - 1][0]
+            results.append(_child_result(
+                data, os.waitstatus_to_exitcode(status),
+                f"corpus part {number} of {len(parts)} ({path} from byte {start})"))
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if children:
+            import signal
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+# the logger of the corpus reader's warnings
+_CORPUS_LOG = "eventnouns.corpus"
+
+
+def _fork_count(count, part, lenient: bool) -> tuple[int, int]:
+    """Start a child that sends what :func:`_child_payload` gives and
+    ends; returns its pid and the read end of its pipe."""
+    import marshal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        payload = _child_payload(count, part, lenient)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_payload(count, part, lenient: bool) -> tuple:
+    """``count(part)`` with nothing written to stderr: its result or None,
+    the corpus warnings it logged, and its error or None."""
+    warnings: list[str] = []
+    if lenient:  # a strict read logs no warning
+        import logging
+        handler = logging.Handler()
+        handler.emit = lambda record: warnings.append(record.getMessage())
+        logger = logging.getLogger(_CORPUS_LOG)
+        logger.handlers, logger.propagate = [handler], False
+    try:
+        return count(part), warnings, None
+    except CorpusParseError as exc:
+        return None, warnings, ("corpus", exc.reason, exc.line_number, exc.path)
+    except (ValueError, KeyError, OSError) as exc:  # what main reports as "error: "
+        return None, warnings, ("error", str(exc))
+    except Exception:  # a fault of the program: its traceback goes to the parent
+        import traceback
+        return None, warnings, ("crash", traceback.format_exc())
+
+
+def _child_result(data: bytes, code: int, part: str):
+    """The result a child sent, after its warnings are logged; its error
+    is raised again."""
+    if code or not data:
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise ValueError(f"{part} ended without a result ({how})")
+    import marshal
+
+    result, warnings, error = marshal.loads(data)
+    if warnings:
+        import logging
+        for message in warnings:
+            logging.getLogger(_CORPUS_LOG).warning("%s", message)
+    if error is None:
+        return result
+    kind, *details = error
+    if kind == "corpus":
+        raise CorpusParseError(*details)
+    if kind == "error":
+        raise ValueError(*details)
+    raise RuntimeError(f"{part} failed:\n{details[0]}")
 
 
 def _read_labeled_dataset(path: str) -> features.Dataset:
@@ -110,6 +250,8 @@ def _read_labeled_dataset(path: str) -> features.Dataset:
 
 
 def _tree_params(args) -> dtree.TreeParams:
+    from . import dtree
+
     return dtree.TreeParams(min_leaf=args.min_leaf,
                             confidence_factor=args.cf,
                             pruning=not args.no_prune,
@@ -136,6 +278,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import dtree
+
     dataset = _read_labeled_dataset(args.dataset)
     params = _tree_params(args)
     examples = [dtree.LabeledExample(v, dataset.labels[v.lemma])
@@ -153,6 +297,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import dtree, evaluation
+
     _check_files([args.model, args.dataset])
     tree, cue_ids, params, _ = dtree.load_model(args.model)
     dataset = features.read_dataset_csv(args.dataset)
@@ -169,6 +315,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluation
+
     if args.dataset:
         given = ["--" + dest.replace("_", "-") for dest in _EXTRACTION_FLAGS
                  if getattr(args, dest)]
@@ -209,6 +357,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import evaluation
+
     _check_files([args.predictions])
     predictions = evaluation.read_predictions_csv(args.predictions)
     curve = evaluation.precision_curve(predictions)
@@ -220,6 +370,7 @@ def _cmd_curve(args) -> int:
 def _cmd_synth(args) -> int:
     # the generator is compiled only for the command that runs it
     from . import data as data_mod
+    from .gold import write_gold_csv
 
     silence_event = args.silence if args.silence_event is None else args.silence_event
     silence_non_event = (args.silence if args.silence_non_event is None

@@ -8,7 +8,8 @@ A blank line ends a sentence, lines starting with ``#`` are comments, and
 both LF and CRLF endings are accepted. Files are UTF-8, and a byte-order
 mark at the start is skipped. The tag is a coarse category, optionally
 refined as ``COARSE:FINE`` (e.g. ``VERB:PART`` for a participle or
-``PART:POSS`` for a possessive marker).
+``PART:POSS`` for a possessive marker). :func:`split_corpus` cuts files
+into byte ranges just past blank lines, which read as the whole does.
 
 Lemmas are lowercased on read: classification is per lemma and case
 variance is just noise.
@@ -16,10 +17,12 @@ variance is just noise.
 
 from __future__ import annotations
 
+import functools
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 COARSE_TAGS = frozenset({
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "ADV", "DET",
@@ -32,6 +35,8 @@ INTERN_LIMIT = 4096
 # characters a file read decodes at once; a line that straddles two blocks
 # is joined before parsing
 BLOCK_CHARS = 16384
+# the two byte pairs that end a blank line, LF or CRLF, after a line end
+_BLANK_LINE_ENDS = (b"\n\n", b"\n\r\n")
 
 
 def coarse_tag(tag: str) -> str:
@@ -55,7 +60,8 @@ class CorpusParseError(ValueError):
     def __init__(self, message: str, line_number: int, path: str = ""):
         where = f"{path}: line {line_number}" if path else f"line {line_number}"
         super().__init__(f"{where}: {message}")
-        self.line_number = line_number
+        # the arguments, so that the error can be made again elsewhere
+        self.reason, self.line_number, self.path = message, line_number, path
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,12 @@ def parse_tagged_corpus(lines: Iterable[str], *, strict: bool = True) -> Iterato
     return _parse_lines((raw.rstrip("\r\n") for raw in lines), strict, "")
 
 
-def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sentence]:
+def _parse_lines(lines: Iterable[str], strict: bool, path: str,
+                 lines_before: Callable[[], int] = int) -> Iterator[Sentence]:
     """The parser behind both readers, over lines without their endings;
-    a non-empty ``path`` begins each error and warning it gives."""
+    a non-empty ``path`` begins each error and warning it gives. A line's
+    number in them is its place in ``lines`` plus ``lines_before()``,
+    which is called only for such a message and gives 0 by default."""
     pending: list[TaggedToken] = []
     # a repeated token line reuses its token and skips validation; bad
     # lines never enter, so each of their occurrences is reported
@@ -112,13 +121,13 @@ def _parse_lines(lines: Iterable[str], strict: bool, path: str) -> Iterator[Sent
         fields = line.split("\t")
         if len(fields) != 3:
             _bad_line(f"expected 3 tab-separated fields, got {len(fields)}",
-                      line_number, strict, path)
+                      lines_before() + line_number, strict, path)
             continue
         surface, lemma, tag = fields
         try:
             token = TaggedToken(surface, lemma.lower(), tag)
         except ValueError as exc:
-            _bad_line(str(exc), line_number, strict, path)
+            _bad_line(str(exc), lines_before() + line_number, strict, path)
             continue
         pending.append(token)
         if len(interned) < INTERN_LIMIT:
@@ -137,39 +146,87 @@ def _bad_line(message: str, line_number: int, strict: bool, path: str) -> None:
         line_number, message)
 
 
-def read_tagged_file(path: str, *, strict: bool = True) -> Iterator[Sentence]:
+def read_tagged_file(path: str, *, strict: bool = True, start: int = 0,
+                     end: int | None = None) -> Iterator[Sentence]:
     """Open ``path`` with :func:`open_input` and yield its sentences.
 
     The file is decoded and split into lines ``BLOCK_CHARS`` characters at
     a time. Every error and warning begins with ``path``. A line that is
     not UTF-8 raises ``ValueError`` with its line number, in lenient mode
-    too.
+    too. With ``start`` or ``end``, only bytes ``[start, end)`` are read
+    (``end`` None reads to the end of the file), and ``start`` must be 0
+    or just past a blank line, as :func:`split_corpus` cuts; lines keep
+    their numbers in the whole file.
     """
-    with open_input(path) as fh:
-        yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path)
+    # counted once, for the first message that needs it
+    lines_before = functools.cache(functools.partial(_lines_before, path, start))
+    with open_input(path, start=start, end=end) as fh:
+        yield from _parse_lines(chain.from_iterable(_line_blocks(fh)), strict, path,
+                                lines_before)
 
 
 @contextmanager
-def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text; a byte-order mark is skipped.
+def open_input(path: str, newline: str | None = None, *, start: int = 0,
+               end: int | None = None) -> Iterator[TextIO]:
+    """Open an input file, or its bytes ``[start, end)``, as UTF-8 text; a
+    byte-order mark at the start of the file is skipped.
 
     Every reader of the pipeline opens its file here. A byte that is not
-    UTF-8 raises ``ValueError`` with ``path``, the number of its line and
-    the decode error.
+    UTF-8 raises ``ValueError`` with ``path``, the number of its line in
+    the file and the decode error.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        with _open_text(path, start, end, newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         # a read decodes a chunk of bytes ahead of the lines it returns, so
         # the failed read does not tell the line: decode again line by line
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            for line_number, line in enumerate(fh, start=1):
+        with _open_text(path, start, end, errors="surrogateescape") as fh:
+            for line_number, line in enumerate(fh, start=_lines_before(path, start) + 1):
                 try:
                     line.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise ValueError(f"{path}: line {line_number}: {exc}") from None
         raise
+
+
+def _open_text(path: str, start: int, end: int | None, **options) -> TextIO:
+    """The file's bytes ``[start, end)`` as UTF-8 text with universal
+    newlines; ``end`` None is the end of the file."""
+    if start == 0 and end is None:
+        return open(path, encoding="utf-8-sig", **options)
+    return io.TextIOWrapper(_ByteRange(path, start, end),
+                            encoding="utf-8" if start else "utf-8-sig", **options)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``[start, end)`` of a file, as a stream of their own."""
+
+    def __init__(self, path: str, start: int, end: int | None):
+        self._file = open(path, "rb")
+        self._left = (self._file.seek(0, io.SEEK_END) if end is None else end) - start
+        self._file.seek(start)
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._file.read(self._left if size < 0 else min(size, self._left))
+        self._left -= len(data)
+        return data
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _lines_before(path: str, start: int) -> int:
+    """The number of lines in the file before byte ``start``, which is 0
+    or the start of a line."""
+    if not start:
+        return 0
+    with _open_text(path, 0, start, errors="surrogateescape") as fh:
+        return sum(1 for _ in fh)
 
 
 def _line_blocks(fh) -> Iterator[list[str]]:
@@ -185,6 +242,61 @@ def _line_blocks(fh) -> Iterator[list[str]]:
         yield lines
     if carry:
         yield [carry]
+
+
+Segment = tuple[str, int, int | None]  # a path and a byte range of it
+
+
+def split_corpus(paths: Sequence[str], sizes: Sequence[int],
+                 parts: int) -> list[list[Segment]]:
+    """Cut corpus files, read one after another, into at most ``parts``
+    runs of whole sentences of about equal size.
+
+    ``sizes`` gives each file's size in bytes. A run is the list of
+    ``(path, start, end)`` ranges to read in turn with
+    :func:`read_tagged_file`, ``end`` None to the end of the file. The
+    ``k``-th cut is just past the first ``\\n\\n`` or ``\\n\\r\\n`` at or
+    past ``k * sum(sizes) // parts`` in the joined bytes: the end of a
+    blank line, so a sentence end and a UTF-8 character boundary. Where
+    the rest of that file has no such pair, the cut is the file's end.
+    """
+    cuts = [(0, 0)]  # (index of a file, offset in it)
+    total, file, base = sum(sizes), 0, 0
+    for k in range(1, parts if total else 1):
+        target = k * total // parts
+        while base + sizes[file] <= target:
+            base += sizes[file]
+            file += 1
+        cut = _blank_line_end(paths[file], target - base)
+        cuts.append((file, cut) if cut is not None and cut < sizes[file] else (file + 1, 0))
+    cuts.append((len(paths), 0))
+    runs = []
+    for (first, start), (last, end) in zip(cuts, cuts[1:]):
+        if first == last:
+            if start < end:
+                runs.append([(paths[first], start, end)])
+        else:
+            runs.append([(paths[first], start, None),
+                         *((path, 0, None) for path in paths[first + 1:last]),
+                         *([(paths[last], 0, end)] if end else [])])
+    return runs
+
+
+def _blank_line_end(path: str, offset: int) -> int | None:
+    """The offset just past the first blank-line end at or past ``offset``
+    in the file, or None if it has none."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        tail = b""  # the last bytes of the data before, where a pair may begin
+        while block := fh.read(BLOCK_CHARS):
+            data = tail + block
+            ends = [at + len(pair) for pair in _BLANK_LINE_ENDS
+                    if (at := data.find(pair)) >= 0]
+            if ends:
+                return offset - len(tail) + min(ends)
+            offset += len(block)
+            tail = data[-2:]
+    return None
 
 
 def serialize_corpus(sentences: Iterable[Sentence]) -> str:

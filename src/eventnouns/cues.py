@@ -275,9 +275,14 @@ class _CompiledCueSet:
 
         self.lemma_chars = {lemma: tag_chars(mask) for lemma, mask in self.lemma_masks.items()}
         self.default_chars = tag_chars(self.lemma_default)
-        classes = {bit: "[" + "".join(re.escape(c) for mask, c in self.chars.items()
-                                      if mask & bit) + "]" for bit in bits.values()}
-        self.patterns = {last_noun: [(rule_id, _pattern(atoms, classes.__getitem__, last_noun))
+
+        @functools.cache
+        def chars_of(bits: int) -> str:
+            """The class of the characters whose masks hold any of ``bits``."""
+            return "[" + "".join(re.escape(c) for mask, c in self.chars.items()
+                                 if mask & bits) + "]"
+
+        self.patterns = {last_noun: [(rule_id, _pattern(atoms, chars_of, last_noun))
                                      for rule_id, atoms in rules]
                          for last_noun in (False, True)}
 
@@ -298,7 +303,8 @@ class _CompiledCueSet:
 
 
 def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
-    """One rule's pattern for one target policy, given each bit's class."""
+    """One rule's pattern for one target policy, given the class of the
+    characters whose masks hold any of some bits."""
     parts = []
     for bit, repeat, word_bits, is_target in atoms:
         # the hit is the last token of group 1; a noun run is
@@ -315,7 +321,20 @@ def _pattern(atoms, chars, last_noun: bool) -> re.Pattern:
     # all but a first atom that takes one token is a lookahead, so each
     # start is tried; the engine skips starts that token's class rules out
     _, repeat, word_bits, _ = atoms[0]
-    head = parts.pop(0) if repeat is Repeat.ONE and not word_bits else ""
+    if repeat is Repeat.ONE and not word_bits:
+        head = parts.pop(0)
+    else:
+        # a start must hold a token that some atom can take first: an atom
+        # up to the first one that takes at least one token, or the first
+        # word of a multi-word literal
+        first = 0
+        for bit, repeat, word_bits, _ in atoms:
+            first |= bit
+            for words in word_bits:
+                first |= words[0]
+            if repeat is Repeat.ONE:
+                break
+        head = f"(?={chars(first)})"
     return re.compile(head + "(?=" + "".join(parts) + ")")
 
 

@@ -110,13 +110,28 @@ class Dataset:
 def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
                      target_lemmas: Iterable[str], *,
                      target_policy: str = TARGET_FIRST_NOUN) -> Dataset:
-    """Run the cue matcher over a corpus and aggregate counts per lemma.
+    """Run the cue matcher over a corpus and aggregate counts per lemma:
+    :func:`build_dataset` of :func:`count_features`.
+
+    Vectors come out sorted by lemma. Target lemmas never observed yield
+    all-zero vectors with a zero occurrence total.
+    """
+    return build_dataset(cue_set, *count_features(corpus, cue_set, target_lemmas,
+                                                  target_policy=target_policy))
+
+
+def count_features(corpus: Iterable[Sentence], cue_set: CueSet,
+                   target_lemmas: Iterable[str], *,
+                   target_policy: str = TARGET_FIRST_NOUN,
+                   ) -> tuple[dict[str, list[int]], Counter[str]]:
+    """The counting pass of :func:`extract_features`: for each target
+    lemma, its hits per cue in cue-set order, and the noun occurrences of
+    the target lemmas seen.
 
     Single pass over the chunks that :func:`cues.encode` streams, so
     ``corpus`` may be a lazy stream. Each chunk's noun totals and its hits
     per cue and lemma are counted in C and merged into the target rows.
-    Vectors come out sorted by lemma. Target lemmas never observed yield
-    all-zero vectors with a zero occurrence total.
+    The counts of two corpora add up to those of the two read as one.
     """
     targets = sorted(set(target_lemmas))
     if not targets:
@@ -132,9 +147,16 @@ def extract_features(corpus: Iterable[Sentence], cue_set: CueSet,
         for (cue_id, lemma), n in Counter(map(_cue_and_lemma, hits)).items():
             if lemma in counts:
                 counts[lemma][position[cue_id]] += n
-    vectors = tuple(
-        FeatureVector(lemma, tuple(counts[lemma]), totals[lemma])
-        for lemma in targets)
+    return counts, totals
+
+
+def build_dataset(cue_set: CueSet, counts: Mapping[str, Sequence[int]],
+                  totals: Mapping[str, int]) -> Dataset:
+    """The dataset of :func:`count_features`' counts: one vector per lemma
+    of ``counts``, sorted by lemma; a lemma absent from ``totals`` was
+    never seen."""
+    vectors = tuple(FeatureVector(lemma, tuple(counts[lemma]), totals.get(lemma, 0))
+                    for lemma in sorted(counts))
     return Dataset(cue_set.cue_ids, vectors)
 
 
@@ -212,10 +234,18 @@ def _format_number(value: float) -> str:
 
 
 def _parse_number(text: str) -> float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    """``int(text)`` where that succeeds, else ``float(text)``. A cell
+    that is not an integer raises no exception on its way to ``float``."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    # int() takes decimal digits with single underscores between them
+    if digits.replace("_", "").isdecimal() and "__" not in f"_{digits}_":
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return float(text)
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

@@ -2,6 +2,9 @@
 and the README's example runs as written."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -29,10 +32,26 @@ def test_root_exports_exactly_the_readme_imports():
                       and node.module == "eventnouns"
                       for alias in node.names)
     assert sorted(eventnouns.__all__) == imported
-    public = {name for name, value in vars(eventnouns).items()
+    # an export is imported on first access, so read each name the root has
+    public = {name for name in dir(eventnouns)
               if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)}
+              and not isinstance(getattr(eventnouns, name), types.ModuleType)}
     assert public == set(eventnouns.__all__)
+
+
+def test_readme_import_runs_in_a_fresh_process():
+    # the root imports each export's module on first access
+    imports = next(node for node in ast.parse(library_use_block()).body
+                   if isinstance(node, ast.ImportFrom))
+    code = (ast.unparse(imports) + "; import sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('eventnouns.')))")
+    src = str(README.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("['eventnouns.corpus', 'eventnouns.cues', 'eventnouns.dtree', "
+                             "'eventnouns.evaluation', 'eventnouns.features', "
+                             "'eventnouns.gold']\n")
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -227,6 +227,19 @@ def test_start_up_imports_only_what_every_command_uses():
     assert result.stdout == "[]\n"
 
 
+def test_extract_imports_no_tree_or_evaluation_module(tmp_path):
+    corpus = write_corpus(tmp_path)
+    code = ("import sys; from eventnouns.cli import main; "
+            f"main(['extract', '--corpus', {corpus!r}, '--builtin-gold', "
+            f"'--out', {str(tmp_path / 'd.csv')!r}]); "
+            "print([m for m in ('eventnouns.dtree', 'eventnouns.evaluation', "
+            "'eventnouns.data') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("wrote " + str(tmp_path / "d.csv") + "\n[]\n")
+
+
 def test_gold_with_byte_order_mark_reads_as_without(tmp_path, capsys):
     corpus = write_corpus(tmp_path)
     gold = Path(write_gold(tmp_path, [("war", "EVENT"), ("map", "NON_EVENT")]))
@@ -708,8 +721,13 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, command, text, messag
     ("war,4,3,EVENTT", "", "unknown label: 'EVENTT' (expected EVENT or NON_EVENT)"),
     (HUGE_FIELD + ",4,3,EVENT", ":2", "field larger than field limit (131072)"),
     ("w\0ar,4,3,EVENT", ":2", "line contains NUL"),
+    ("war,4,0.5x,EVENT", ":2", "could not convert string to float: '0.5x'"),
+    ("war,4,0.25,1__0,EVENT", ":2", "row for 'war' has 5 fields, expected 4"),
+    ("war,4.0,-0.25,EVENT", ":2", "negative count for lemma 'war'"),
+    ("war,0.0,0.25,EVENT", ":2", "lemma 'war' has cue counts but no occurrences"),
 ], ids=["bad-cell", "empty-lemma", "short-row", "duplicate-lemma", "bad-label",
-        "huge-field", "nul"])
+        "huge-field", "nul", "relative-bad-cell", "relative-short-row",
+        "relative-negative", "relative-no-occurrences"])
 def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET.replace("war,4,3,EVENT", row), encoding="utf-8")

@@ -300,6 +300,51 @@ def test_read_dataset_csv_mixed_number_cells(tmp_path):
     assert [type(x) for x in (war.total_occurrences, *war.counts)] == [float, int, float]
 
 
+def _int_else_float(text: str):
+    """The cell parse that ``_parse_number`` must equal: int, or float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), repr(value)
+
+
+_CELL_CHARS = "0123456789٣٤_+-.eEx \t\n\u2003\x1c" + "nafi"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=_CELL_CHARS, max_size=8))
+def test_parse_number_is_an_int_exactly_where_int_succeeds(text):
+    assert _outcome(_parse_number, text) == _outcome(_int_else_float, text)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "+7", " 12 ", "1_000", "1__0", "_1", "1_", "0.25", "-0.5", "1e3",
+    "1E-2", "inf", "nan", "", " ", "+", "٣", "1" * 5000, "0x10", "1.0", "\u20035",
+])
+def test_parse_number_cases(text):
+    assert _outcome(_parse_number, text) == _outcome(_int_else_float, text)
+
+
+def test_read_relative_dataset_csv_keeps_ints_and_floats(tmp_path):
+    path = tmp_path / "relative.csv"
+    path.write_text("lemma,total,C-1,C-2,label\nwar,4,0.75,0,EVENT\n"
+                    "map,2.0,0.5, 1_0 ,NON_EVENT\nsky,0,0,0,NON_EVENT\n")
+    vectors = {v.lemma: (v.total_occurrences, *v.counts)
+               for v in read_dataset_csv(str(path)).vectors}
+    assert {lemma: [(type(x), x) for x in values] for lemma, values in vectors.items()} == {
+        "war": [(int, 4), (float, 0.75), (int, 0)],
+        "map": [(float, 2.0), (float, 0.5), (int, 10)],
+        "sky": [(int, 0), (int, 0), (int, 0)]}
+
+
 @pytest.mark.parametrize("counts, total, message", [
     ((-1, math.nan), 1, "negative"),
     ((-math.inf,), 1, "negative"),

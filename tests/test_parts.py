@@ -1,0 +1,366 @@
+"""A corpus counted in parts: byte ranges cut just past blank lines, each
+counted in its own process, must give what one part gives, messages
+included. Splitting is forced here by lowering ``cli.PART_BYTES`` and
+raising the CPU count, in the test process or in a fresh one."""
+
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from eventnouns import cli, features
+from eventnouns.corpus import CorpusParseError, read_tagged_file, split_corpus
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BOM = "﻿"
+
+# sentences that fire cues, with a comment and a whitespace-only line
+# around blank lines; each line of a sentence ends in one line ending
+SENTENCES = [
+    ["during\tduring\tADP", "the\tthe\tDET", "war\twar\tNOUN"],
+    ["# a comment after a blank line", "the\tthe\tDET", "war\twar\tNOUN",
+     "happened\thappen\tVERB"],
+    ["a\ta\tDET", "map\tmap\tNOUN", "# a comment before a blank line"],
+    ["the\tthe\tDET", "storm\tstorm\tNOUN", "war\twar\tNOUN", "started\tstart\tVERB"],
+    [" \t ", "the\tthe\tDET", "map\tmap\tNOUN", "of\tof\tADP", "them\tthey\tPRON"],
+    ["after\tafter\tADP", "the\tthe\tDET", "long\tlong\tADJ", "storm\tstorm\tNOUN"],
+    ["the\tthe\tDET", "war\twar\tNOUN", "took\ttake\tVERB", "place\tplace\tVERB"],
+]
+
+
+def corpus_text(endings, sentences=SENTENCES, mark=""):
+    """The sentences with each line ending taken in turn from ``endings``,
+    a blank line between two sentences and none after the last."""
+    ends = iter(endings * 100)
+    blocks = ["".join(line + next(ends) for line in lines) for lines in sentences]
+    return mark + next(ends).join(blocks)
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return str(path)
+
+
+def blank_lines(data: bytes) -> list[tuple[int, int]]:
+    """The byte range of every ``\\n\\n`` or ``\\n\\r\\n``."""
+    return sorted((at, at + len(pair)) for pair in (b"\n\n", b"\n\r\n")
+                  for at in range(len(data)) if data.startswith(pair, at))
+
+
+def blank_line_ends(data: bytes) -> list[int]:
+    return sorted({end for _, end in blank_lines(data)})
+
+
+def line_count(data: bytes) -> int:
+    """The lines of ``data`` with universal newlines, the last one ended."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n")
+
+
+def force_parts(monkeypatch, cpus=1000):
+    """Count every corpus in as many parts as it has blank lines, up to
+    ``cpus``, and return the pids of the children forked."""
+    monkeypatch.setattr(cli, "PART_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ENDINGS = {
+    "lf": ["\n"],
+    "crlf": ["\r\n"],
+    "mixed": ["\n", "\r\n", "\n", "\r", "\r\n", "\r\n", "\n"],
+}
+
+
+# --- reading byte ranges ------------------------------------------------------
+
+@pytest.mark.parametrize("mark", ["", BOM], ids=["plain", "bom"])
+@pytest.mark.parametrize("endings", list(ENDINGS))
+def test_ranges_cut_at_any_blank_line_read_as_the_whole(tmp_path, endings, mark):
+    path = write(tmp_path, "c.tsv", corpus_text(ENDINGS[endings], mark=mark))
+    whole = list(read_tagged_file(path))
+    data = Path(path).read_bytes()
+    cuts = blank_line_ends(data)
+    assert len(cuts) >= 3
+    for cut in cuts:
+        head = list(read_tagged_file(path, end=cut))
+        tail = list(read_tagged_file(path, start=cut))
+        assert head + tail == whole, cut
+    every = [0, *cuts, None]
+    assert [s for start, end in zip(every, every[1:])
+            for s in read_tagged_file(path, start=start, end=end)] == whole
+
+
+def test_split_corpus_cuts_just_past_the_first_blank_line_at_or_past_each_share(tmp_path):
+    path = write(tmp_path, "c.tsv", corpus_text(["\r\n", "\n"]))
+    data = Path(path).read_bytes()
+    pairs = blank_lines(data)
+    for parts in range(2, len(data), 7):
+        targets = [k * len(data) // parts for k in range(1, parts)]
+        cuts = sorted({min((end for start, end in pairs if start >= target),
+                           default=len(data)) for target in targets} - {len(data)})
+        runs = split_corpus([path], [len(data)], parts)
+        assert runs == [[(path, start, end)] for start, end in zip([0, *cuts], [*cuts, None])]
+
+
+def test_split_corpus_spans_files_and_keeps_a_file_without_blank_line_whole(tmp_path):
+    first = write(tmp_path, "a.tsv", corpus_text(["\n"]))
+    lone_cr = write(tmp_path, "b.tsv", corpus_text(["\r"]))
+    paths = [first, lone_cr, first]
+    sizes = [os.path.getsize(p) for p in paths]
+    runs = split_corpus(paths, sizes, 1000)
+    assert [segment for run in runs for segment in run if segment[0] == lone_cr] == [
+        (lone_cr, 0, None)]
+    # the runs read one after another are the files read one after another
+    assert [s for run in runs for path, start, end in run
+            for s in read_tagged_file(path, start=start, end=end)] == [
+        s for path in paths for s in read_tagged_file(path)]
+    assert split_corpus(paths, sizes, 1) == [[(p, 0, None) for p in paths]]
+
+
+def test_a_range_numbers_its_lines_in_the_whole_file(tmp_path, caplog):
+    data = (corpus_text(["\n", "\r\n", "\r"]) + "\r\n\r\nbad line\r\nwar\twar\tXYZ\n").encode()
+    path = write(tmp_path, "c.tsv", data)
+    bad = line_count(data) - 1
+    cut = blank_line_ends(data)[-1]
+    with pytest.raises(CorpusParseError) as exc:
+        list(read_tagged_file(path, start=cut))
+    assert str(exc.value) == f"{path}: line {bad}: expected 3 tab-separated fields, got 1"
+    list(read_tagged_file(path, start=cut, strict=False))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: skipping corpus line {bad}: expected 3 tab-separated fields, got 1",
+        f"{path}: skipping corpus line {bad + 1}: unknown coarse tag: 'XYZ'"]
+
+
+def test_a_range_numbers_a_line_that_is_not_utf8_in_the_whole_file(tmp_path):
+    data = corpus_text(["\r\n", "\r"]).encode("utf-8") + b"\n\ncaf\xe9\tcaf\xe9\tNOUN\n"
+    path = write(tmp_path, "c.tsv", data)
+    line = line_count(data)
+    for start in blank_line_ends(data):
+        with pytest.raises(ValueError) as exc:
+            list(read_tagged_file(path, start=start))
+        assert str(exc.value) == (f"{path}: line {line}: 'utf-8' codec can't decode "
+                                  "byte 0xe9 in position 3: invalid continuation byte")
+
+
+# --- the CLI in parts ---------------------------------------------------------
+
+def gold_file(tmp_path):
+    return write(tmp_path, "gold.csv", "lemma,label\nwar,EVENT\nstorm,EVENT\n"
+                                       "map,NON_EVENT\nplace,NON_EVENT\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lang", "EN"],
+    ["--lang", "EN", "--relative"],
+    ["--lang", "EN", "--last-noun"],
+    ["--lang", "EN", "--lemmas", "LEMMAS"],
+], ids=["counts", "relative", "last-noun", "lemmas"])
+@pytest.mark.parametrize("endings", list(ENDINGS))
+def test_extract_in_parts_writes_what_one_part_writes(tmp_path, capsys, monkeypatch,
+                                                      endings, flags):
+    text = corpus_text(ENDINGS[endings])
+    corpora = [write(tmp_path, "a.tsv", BOM + text),
+               write(tmp_path, "b.tsv", corpus_text(ENDINGS[endings], SENTENCES[::-1]))]
+    lemmas = write(tmp_path, "lemmas.txt", "war\nstorm\nmap\nplace\nthey\n")
+    flags = [lemmas if flag == "LEMMAS" else flag for flag in flags]
+    targets = [] if lemmas in flags else ["--gold", gold_file(tmp_path)]
+    argv = ["extract", *flags, *targets, "--corpus", corpora[0], "--corpus", corpora[1]]
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    code, out, err = run([*argv, "--out", str(one)], capsys)
+    assert code == 0 and err == "" and "nonzero vectors: 3\n" in out
+    forked = force_parts(monkeypatch)
+    assert run([*argv, "--out", str(many)], capsys) == (
+        0, out.replace(str(one), str(many)), "")
+    assert many.read_bytes() == one.read_bytes()
+    cuts = sum(len(blank_line_ends(Path(p).read_bytes())) for p in corpora)
+    assert len(forked) == cuts + 1  # every blank line is a cut, and so is the first file's end
+    assert_no_child_left()
+
+
+def test_evaluate_from_a_corpus_in_parts(tmp_path, capsys, monkeypatch):
+    text = "\n\n".join([corpus_text(["\n"])] * 6)
+    argv = ["evaluate", "--corpus", write(tmp_path, "c.tsv", text),
+            "--gold", gold_file(tmp_path), "--seed", "1", "--k", "2", "--min-leaf", "1"]
+    assert run([*argv, "--out", str(tmp_path / "one")], capsys)[0] == 0
+    force_parts(monkeypatch, cpus=3)
+    assert run([*argv, "--out", str(tmp_path / "many")], capsys)[0] == 0
+    for name in ("report.txt", "predictions.csv", "curve.csv"):
+        assert ((tmp_path / "many" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes())
+    assert_no_child_left()
+
+
+def test_a_lone_cr_corpus_stays_one_part(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.tsv", corpus_text(["\r"]))
+    argv = ["extract", "--corpus", path, "--gold", gold_file(tmp_path)]
+    assert run([*argv, "--out", str(tmp_path / "one.csv")], capsys)[0] == 0
+    assert force_parts(monkeypatch) == []
+    assert run([*argv, "--out", str(tmp_path / "many.csv")], capsys)[0] == 0
+    assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def bad_sentences(*bad):
+    """SENTENCES with a malformed line put into the sentences at ``bad``."""
+    return [lines + ["bad line"] if i in bad else lines for i, lines in enumerate(SENTENCES)]
+
+
+@pytest.mark.parametrize("bad", [(5,), (2, 5), (0,), (0, 6)],
+                         ids=["later-part", "two-parts", "first-part", "first-and-last"])
+def test_strict_error_in_parts_is_the_one_part_error(tmp_path, capsys, monkeypatch, bad):
+    path = write(tmp_path, "c.tsv", corpus_text(["\n", "\r\n"], bad_sentences(*bad)))
+    argv = ["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+            "--out", str(tmp_path / "d.csv")]
+    one = run(argv, capsys)
+    assert one[0] == 1 and one[2].startswith(f"corpus error: {path}: line ")
+    forked = force_parts(monkeypatch)
+    assert run(argv, capsys) == one
+    assert len(forked) == len(SENTENCES) - 1
+    assert not (tmp_path / "d.csv").exists()
+    assert_no_child_left()
+
+
+def test_non_utf8_line_in_a_later_part_is_the_one_part_error(tmp_path, capsys,
+                                                             monkeypatch):
+    data = corpus_text(["\r\n"]).encode("utf-8") + b"\r\n\r\ncaf\xe9\tcaf\xe9\tNOUN\r\n"
+    path = write(tmp_path, "c.tsv", data)
+    argv = ["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+            "--out", str(tmp_path / "d.csv")]
+    one = run(argv, capsys)
+    assert one == (1, "", f"error: {path}: line {line_count(data)}: 'utf-8' codec can't "
+                          "decode byte 0xe9 in position 3: invalid continuation byte\n")
+    forked = force_parts(monkeypatch)
+    assert run(argv, capsys) == one
+    assert len(forked) == len(blank_line_ends(data))
+    assert_no_child_left()
+
+
+FORCED = ("import os; from eventnouns import cli; cli.PART_BYTES = 1; "
+          "os.sched_getaffinity = lambda pid: set(range(1000)); cli.main_entry()")
+
+
+def cli_process(code, *argv):
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def test_lenient_warnings_in_parts_come_in_file_order(tmp_path):
+    first = write(tmp_path, "a.tsv", corpus_text(["\n", "\r\n"], bad_sentences(0, 3, 6)))
+    second = write(tmp_path, "b.tsv", corpus_text(["\r\n"], bad_sentences(1, 4)))
+    argv = ["extract", "--lenient", "--corpus", first, "--corpus", second,
+            "--gold", gold_file(tmp_path), "--out", str(tmp_path / "d.csv")]
+    one = cli_process("from eventnouns.cli import main_entry; main_entry()", *argv)
+    assert one.returncode == 0
+    assert one.stderr.count("skipping corpus line") == 5
+    assert one.stderr.index(first) < one.stderr.index(second)
+    many = cli_process(FORCED, *argv)
+    assert (many.returncode, many.stdout, many.stderr) == (0, one.stdout, one.stderr)
+
+
+def test_strict_error_of_a_fresh_process_in_parts(tmp_path):
+    path = write(tmp_path, "c.tsv", corpus_text(["\r\n"], bad_sentences(4, 6)))
+    argv = ["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+            "--out", str(tmp_path / "d.csv")]
+    one = cli_process("from eventnouns.cli import main_entry; main_entry()", *argv)
+    many = cli_process(FORCED, *argv)
+    assert one.returncode == 1 and one.stderr.startswith(f"corpus error: {path}: line 2")
+    assert (many.returncode, many.stdout, many.stderr) == (1, "", one.stderr)
+
+
+def test_a_child_killed_mid_run_is_an_error_that_names_its_part(tmp_path, capsys,
+                                                                monkeypatch):
+    path = write(tmp_path, "c.tsv", corpus_text(["\n"]))
+    parent = os.getpid()
+    count_features = features.count_features
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return count_features(*args, **kwargs)
+
+    monkeypatch.setattr(features, "count_features", dying)
+    force_parts(monkeypatch, cpus=2)
+    cut = split_corpus([path], [os.path.getsize(path)], 2)[1][0][1]
+    assert run(["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+                "--out", str(tmp_path / "d.csv")], capsys) == (
+        1, "", f"error: corpus part 2 of 2 ({path} from byte {cut}) ended without "
+               f"a result (killed by signal {signal.SIGKILL.value})\n")
+    assert not (tmp_path / "d.csv").exists()
+    assert_no_child_left()
+
+
+def test_a_small_corpus_forks_no_process(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    path = write(tmp_path, "c.tsv", corpus_text(["\n"]) * 2)
+    assert run(["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+                "--out", str(tmp_path / "d.csv")], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("cpus, size, parts", [
+    (2, 4_300_000, 2), (8, 3_800_000, 3), (4, (1 << 20) - 1, 1), (1, 10 << 20, 1),
+])
+def test_part_count_is_one_per_cpu_with_a_mebibyte_each(monkeypatch, cpus, size, parts):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert cli._part_count(size) == parts
+
+
+def test_part_count_is_one_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert cli._part_count(10 << 20) == 1
+
+
+def test_part_count_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._part_count(10 << 20) == 3
+
+
+def test_a_fault_in_a_child_is_raised_with_its_traceback(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "c.tsv", corpus_text(["\n"]))
+    parent = os.getpid()
+    count_features = features.count_features
+
+    def faulty(*args, **kwargs):
+        if os.getpid() != parent:
+            raise TypeError("a fault")
+        return count_features(*args, **kwargs)
+
+    monkeypatch.setattr(features, "count_features", faulty)
+    force_parts(monkeypatch, cpus=2)
+    with pytest.raises(RuntimeError, match=r"(?s)^corpus part 2 of 2 \(.*\) failed:\n"
+                                           r"Traceback .*TypeError: a fault\n$"):
+        cli.main(["extract", "--corpus", path, "--gold", gold_file(tmp_path),
+                  "--out", str(tmp_path / "d.csv")])
+    assert_no_child_left()
