@@ -139,106 +139,84 @@ def _count_parts(count, parts, lenient: bool):
     """``count(part)`` for each part, in order: the first in this process,
     each other in a child from os.fork, started before it.
 
-    A child sends its result, the corpus warnings it logged and its error
-    through a pipe as marshal bytes, and always leaves with os._exit. The
-    warnings are logged again here and the error raised again, part by part
-    in file order, so every message is the one a run in one part gives. A
-    child that ends without a result is an error that names its part. On
-    every path each child is reaped, after a kill if its result is not
-    needed.
+    A child sends its result and the corpus warnings it logged, or nothing
+    if anything goes wrong. The warnings are logged again here, part by
+    part in file order. A part with no result from a child (one that
+    raised, was killed or could not be forked) is counted here instead,
+    so every result, message and traceback comes from the ``count(part)``
+    a run in one part makes. On every path each child is reaped, after a
+    kill if its result is not needed.
     """
-    children, pipes = [], []
+    import marshal
+
+    children = []  # each later part's (pid, pipe) until reaped, or None
     try:
         for part in parts[1:]:
-            pid, fd = _fork_count(count, part, lenient)
-            children.append(pid)
-            pipes.append(open(fd, "rb"))
+            children.append(_fork_count(count, part, lenient))
         results = [count(parts[0])]
-        for number, pipe in enumerate(pipes, start=2):
-            data = pipe.read()
-            _, status = os.waitpid(children.pop(0), 0)
-            path, start, _ = parts[number - 1][0]
-            results.append(_child_result(
-                data, os.waitstatus_to_exitcode(status),
-                f"corpus part {number} of {len(parts)} ({path} from byte {start})"))
+        for number, part in enumerate(parts[1:]):
+            status = 1  # no child, or no result from it: the part is counted here
+            if children[number]:
+                pid, pipe = children[number]
+                with pipe:
+                    data = pipe.read()
+                children[number] = None
+                _, status = os.waitpid(pid, 0)
+            if status:
+                results.append(count(part))
+                continue
+            result, warnings = marshal.loads(data)
+            if warnings:
+                import logging
+                for message in warnings:
+                    logging.getLogger(_CORPUS_LOG).warning("%s", message)
+            results.append(result)
         return results
     finally:
-        for pipe in pipes:
-            pipe.close()
-        if children:
+        for child in filter(None, children):
             import signal
-            for pid in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            pid, pipe = child
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # the logger of the corpus reader's warnings
 _CORPUS_LOG = "eventnouns.corpus"
 
 
-def _fork_count(count, part, lenient: bool) -> tuple[int, int]:
-    """Start a child that sends what :func:`_child_payload` gives and
-    ends; returns its pid and the read end of its pipe."""
+def _fork_count(count, part, lenient: bool):
+    """Start a child that sends ``count(part)`` and the corpus warnings it
+    logs as marshal bytes, or nothing if anything goes wrong, and leaves
+    through os._exit; returns its pid and the read end of its pipe, or
+    None if os.fork fails."""
     import marshal
 
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
     if pid:
         os.close(write_end)
-        return pid, read_end
+        return pid, open(read_end, "rb")
     code = 1
     try:
         os.close(read_end)
-        payload = _child_payload(count, part, lenient)
+        warnings: list[str] = []
+        if lenient:  # a strict read logs no warning
+            import logging
+            handler = logging.Handler()
+            handler.emit = lambda record: warnings.append(record.getMessage())
+            logger = logging.getLogger(_CORPUS_LOG)
+            logger.handlers, logger.propagate = [handler], False
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(payload))
+            pipe.write(marshal.dumps((count(part), warnings)))
         code = 0
     finally:
         os._exit(code)
-
-
-def _child_payload(count, part, lenient: bool) -> tuple:
-    """``count(part)`` with nothing written to stderr: its result or None,
-    the corpus warnings it logged, and its error or None."""
-    warnings: list[str] = []
-    if lenient:  # a strict read logs no warning
-        import logging
-        handler = logging.Handler()
-        handler.emit = lambda record: warnings.append(record.getMessage())
-        logger = logging.getLogger(_CORPUS_LOG)
-        logger.handlers, logger.propagate = [handler], False
-    try:
-        return count(part), warnings, None
-    except CorpusParseError as exc:
-        return None, warnings, ("corpus", exc.reason, exc.line_number, exc.path)
-    except (ValueError, KeyError, OSError) as exc:  # what main reports as "error: "
-        return None, warnings, ("error", str(exc))
-    except Exception:  # a fault of the program: its traceback goes to the parent
-        import traceback
-        return None, warnings, ("crash", traceback.format_exc())
-
-
-def _child_result(data: bytes, code: int, part: str):
-    """The result a child sent, after its warnings are logged; its error
-    is raised again."""
-    if code or not data:
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise ValueError(f"{part} ended without a result ({how})")
-    import marshal
-
-    result, warnings, error = marshal.loads(data)
-    if warnings:
-        import logging
-        for message in warnings:
-            logging.getLogger(_CORPUS_LOG).warning("%s", message)
-    if error is None:
-        return result
-    kind, *details = error
-    if kind == "corpus":
-        raise CorpusParseError(*details)
-    if kind == "error":
-        raise ValueError(*details)
-    raise RuntimeError(f"{part} failed:\n{details[0]}")
 
 
 def _read_labeled_dataset(path: str) -> features.Dataset:

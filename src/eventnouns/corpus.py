@@ -55,13 +55,12 @@ def check_tag(tag: str) -> None:
 
 
 class CorpusParseError(ValueError):
-    """A malformed corpus line. Carries the 1-based line number; the message
-    begins with the file's path when the line came from a file."""
+    """A malformed corpus line, raised where it is read: the message begins
+    with the file's path, if any, and ``line_number`` is 1-based."""
 
     def __init__(self, message: str, line_number: int, path: str = ""):
         super().__init__(f"{_where(path, line_number)}: {message}")
-        # the arguments, so that the error can be made again elsewhere
-        self.reason, self.line_number, self.path = message, line_number, path
+        self.line_number = line_number
 
 
 def _where(path: str, line_number: int) -> str:

@@ -58,13 +58,6 @@ class GoldStandard:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def lemmas(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
-    def count(self, label: str) -> int:
-        return sum(1 for l in self.entries.values() if l == label)
-
 
 def english_gold() -> GoldStandard:
     """The built-in English gold standard: 73 EVENT and 94 NON_EVENT lemmas.

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 from eventnouns.corpus import Sentence, TaggedToken
 from eventnouns.cues import CueSet
+from eventnouns.gold import GoldStandard
 
 
 def tok(surface: str, tag: str, lemma: str | None = None) -> TaggedToken:
@@ -18,3 +19,8 @@ def with_rules_enabled(cue_set: CueSet, enabled=lambda rule: True) -> CueSet:
     enabled if ``enabled(rule)`` holds and disabled if not."""
     return replace(cue_set, rules=tuple(replace(rule, enabled=enabled(rule))
                                         for rule in cue_set.rules))
+
+
+def label_count(gold: GoldStandard, label: str) -> int:
+    """The lemmas of ``gold`` labeled ``label``."""
+    return sum(1 for l in gold.entries.values() if l == label)

@@ -14,7 +14,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import sent, with_rules_enabled
+from conftest import label_count, sent, with_rules_enabled
 from eventnouns.cli import main as cli_main
 from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import builtin_cue_set, match_sentences
@@ -79,7 +79,7 @@ def test_criterion_1_gold_integrity():
         assert all(lemma == lemma.lower() for lemma in gold.entries)
         assert gold.entries["war"] == EVENT
         assert gold.entries["map"] == NON_EVENT
-        assert (gold.count(EVENT), gold.count(NON_EVENT)) == (73, 94)
+        assert (label_count(gold, EVENT), label_count(gold, NON_EVENT)) == (73, 94)
         assert len(set(_ENGLISH_EVENT)) == len(_ENGLISH_EVENT)
         assert len(set(_ENGLISH_NON_EVENT)) == len(_ENGLISH_NON_EVENT)
         assert not set(_ENGLISH_EVENT) & set(_ENGLISH_NON_EVENT)
@@ -169,7 +169,7 @@ def _synthetic_report(params, language, cv_seed):
     cue_set = builtin_cue_set(language)
     dataset = extract_features(
         parse_tagged_corpus(result.corpus_text.splitlines()),
-        cue_set, result.gold.lemmas)
+        cue_set, sorted(result.gold.entries))
     dataset = attach_labels(dataset, result.gold.entries)
     report = cross_validate(dataset, TreeParams(), k=10, seed=cv_seed)
     curve = {point.threshold: point

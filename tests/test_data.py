@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import with_rules_enabled
+from conftest import label_count, with_rules_enabled
 from eventnouns.corpus import parse_tagged_corpus
 from eventnouns.cues import builtin_cue_set, load_cue_set, match_sentences
 from eventnouns.data import (
@@ -29,8 +29,8 @@ def test_english_gold_shape():
     gold = english_gold()
     assert len(gold) == 167
     # the embedded source lists contain 73 event and 94 non-event nouns
-    assert gold.count(EVENT) == 73
-    assert gold.count(NON_EVENT) == 94
+    assert label_count(gold, EVENT) == 73
+    assert label_count(gold, NON_EVENT) == 94
 
 
 def test_english_gold_membership():
@@ -85,7 +85,7 @@ def test_load_gold_label_case_insensitive(tmp_path):
 
 def test_gold_standard_stores_canonical_labels(tmp_path):
     gold = GoldStandard("EN", {"war": "event", "tree": "Non_Event", "storm": "EVENT"})
-    assert (gold.count(EVENT), gold.count(NON_EVENT)) == (2, 1)
+    assert (label_count(gold, EVENT), label_count(gold, NON_EVENT)) == (2, 1)
     path = tmp_path / "gold.csv"
     write_gold_csv(gold, str(path))
     assert path.read_text().splitlines() == [
@@ -167,7 +167,7 @@ def test_zero_emission_rate_yields_zero_cue_counts():
     result = generate_synthetic_corpus(params, language="EN")
     dataset = extract_features(
         parse_tagged_corpus(result.corpus_text.splitlines()),
-        builtin_cue_set("EN"), result.gold.lemmas)
+        builtin_cue_set("EN"), sorted(result.gold.entries))
     for vector in dataset.vectors:
         assert vector.is_zero
         assert vector.total_occurrences >= 3  # lemmas still occur
@@ -185,7 +185,7 @@ def test_one_cue_binomial_interval():
     assert 3 <= fired <= 17  # 99.9% binomial interval around the mean of 10
     dataset = extract_features(
         parse_tagged_corpus(result.corpus_text.splitlines()),
-        cue_set, result.gold.lemmas)
+        cue_set, sorted(result.gold.entries))
     vector = {v.lemma: v for v in dataset.vectors}["evt000"]
     assert vector.counts[cue_set.cue_ids.index("EN-1")] == fired
 
@@ -197,7 +197,7 @@ def test_extraction_recovers_draw_log_exactly(language):
     cue_set = builtin_cue_set(language)
     dataset = extract_features(
         parse_tagged_corpus(result.corpus_text.splitlines()),
-        cue_set, result.gold.lemmas)
+        cue_set, sorted(result.gold.entries))
     logged_counts, logged_totals = draw_log_counts(result.draw_log)
     for vector in dataset.vectors:
         expected = logged_counts.get(vector.lemma, Counter())
@@ -211,7 +211,7 @@ def test_silent_lemmas_stay_in_gold_with_no_occurrences():
     params = small_params(silence_event=0.5)
     result = generate_synthetic_corpus(params, language="EN")
     _, totals = draw_log_counts(result.draw_log)
-    silent = [l for l in result.gold.lemmas if l not in totals]
+    silent = [l for l in result.gold.entries if l not in totals]
     assert len(silent) == 4  # half of the 8 event lemmas
     assert all(result.gold.entries[l] == EVENT for l in silent)
     assert len(result.gold) == 16
@@ -224,7 +224,7 @@ def test_more_silence_means_fewer_nonzero_vectors():
         result = generate_synthetic_corpus(params, language="EN")
         dataset = extract_features(
             parse_tagged_corpus(result.corpus_text.splitlines()),
-            builtin_cue_set("EN"), result.gold.lemmas)
+            builtin_cue_set("EN"), sorted(result.gold.entries))
         return sum(1 for v in dataset.vectors if not v.is_zero)
 
     assert nonzero_count(0.3) < nonzero_count(0.1) < nonzero_count(0.0)
@@ -235,7 +235,7 @@ def test_silent_sets_nest_across_fractions():
         params = small_params(n_event=20, n_non_event=1, silence_event=silence)
         result = generate_synthetic_corpus(params, language="EN")
         _, totals = draw_log_counts(result.draw_log)
-        return {l for l in result.gold.lemmas if l not in totals}
+        return {l for l in result.gold.entries if l not in totals}
 
     assert silent_set(0.1) <= silent_set(0.2) <= silent_set(0.4)
 

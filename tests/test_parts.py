@@ -3,6 +3,7 @@ counted in its own process, must give what one part gives, messages
 included. Splitting is forced here by lowering ``cli.PART_BYTES`` and
 raising the CPU count, in the test process or in a fresh one."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -389,26 +390,45 @@ def test_a_piped_corpus_reads_as_its_file(tmp_path, before):
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_a_child_killed_mid_run_is_an_error_that_names_its_part(tmp_path, capsys,
-                                                                monkeypatch):
-    path = write(tmp_path, "c.tsv", corpus_text(["\n"]))
+def in_children_only(monkeypatch, fault):
+    """Make ``features.count_features`` call ``fault()`` first in every
+    process but this one."""
     parent = os.getpid()
     count_features = features.count_features
 
-    def dying(*args, **kwargs):
+    def counting(*args, **kwargs):
         if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
+            fault()
         return count_features(*args, **kwargs)
 
-    monkeypatch.setattr(features, "count_features", dying)
-    force_parts(monkeypatch, cpus=2)
-    cut = split_corpus([path], [os.path.getsize(path)], 2)[1][0][1]
-    assert run(["extract", "--corpus", path, "--gold", gold_file(tmp_path),
-                "--out", str(tmp_path / "d.csv")], capsys) == (
-        1, "", f"error: corpus part 2 of 2 ({path} from byte {cut}) ended without "
-               f"a result (killed by signal {signal.SIGKILL.value})\n")
-    assert not (tmp_path / "d.csv").exists()
+    monkeypatch.setattr(features, "count_features", counting)
+
+
+def assert_one_part_result(tmp_path, capsys, monkeypatch, cpus, break_parts):
+    """Extract in one part, then in ``cpus`` forced parts after
+    ``break_parts()``: the exit code, stdout, stderr and dataset match, and
+    no child is left."""
+    path = write(tmp_path, "c.tsv", corpus_text(["\n", "\r\n"]))
+    argv = ["extract", "--corpus", path, "--gold", gold_file(tmp_path), "--out"]
+    one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+    code, out, err = run([*argv, str(one)], capsys)
+    assert (code, err) == (0, "")
+    forked = force_parts(monkeypatch, cpus=cpus)
+    break_parts()
+    assert run([*argv, str(many)], capsys) == (0, out.replace(str(one), str(many)), "")
+    assert many.read_bytes() == one.read_bytes()
     assert_no_child_left()
+    return forked
+
+
+def test_a_part_whose_child_is_killed_is_counted_by_the_parent(tmp_path, capsys,
+                                                                monkeypatch):
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    forked = assert_one_part_result(tmp_path, capsys, monkeypatch, 2,
+                                    lambda: in_children_only(monkeypatch, die))
+    assert len(forked) == 1
 
 
 def test_a_small_corpus_forks_no_process(tmp_path, capsys, monkeypatch):
@@ -444,20 +464,50 @@ def test_part_count_falls_back_to_the_cpu_count(monkeypatch):
     assert cli._part_count(10 << 20) == 3
 
 
-def test_a_fault_in_a_child_is_raised_with_its_traceback(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "c.tsv", corpus_text(["\n"]))
-    parent = os.getpid()
-    count_features = features.count_features
+def fault():
+    raise TypeError("a fault")
 
+
+def test_a_fault_only_in_a_child_gives_the_one_part_result(tmp_path, capsys,
+                                                           monkeypatch):
+    assert_one_part_result(tmp_path, capsys, monkeypatch, 2,
+                           lambda: in_children_only(monkeypatch, fault))
+
+
+def test_a_fault_in_every_process_is_the_one_part_fault(tmp_path, monkeypatch):
     def faulty(*args, **kwargs):
-        if os.getpid() != parent:
-            raise TypeError("a fault")
-        return count_features(*args, **kwargs)
+        fault()
 
     monkeypatch.setattr(features, "count_features", faulty)
+    argv = ["extract", "--corpus", write(tmp_path, "c.tsv", corpus_text(["\n"])),
+            "--gold", gold_file(tmp_path), "--out", str(tmp_path / "d.csv")]
+    with pytest.raises(TypeError) as one:
+        cli.main(argv)
     force_parts(monkeypatch, cpus=2)
-    with pytest.raises(RuntimeError, match=r"(?s)^corpus part 2 of 2 \(.*\) failed:\n"
-                                           r"Traceback .*TypeError: a fault\n$"):
-        cli.main(["extract", "--corpus", path, "--gold", gold_file(tmp_path),
-                  "--out", str(tmp_path / "d.csv")])
+    with pytest.raises(TypeError) as many:
+        cli.main(argv)
+    assert str(many.value) == str(one.value) == "a fault"
+    assert not (tmp_path / "d.csv").exists()
     assert_no_child_left()
+
+
+def test_a_part_whose_fork_fails_is_counted_by_the_parent(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = []
+
+    def fail_the_second_of_three_forks():
+        fork = os.fork
+
+        def failing_fork():
+            calls.append(len(calls) + 1)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    forked = assert_one_part_result(tmp_path, capsys, monkeypatch, 4,
+                                    fail_the_second_of_three_forks)
+    assert (calls, len(forked)) == ([1, 2, 3], 2)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
