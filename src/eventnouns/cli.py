@@ -8,14 +8,14 @@ so identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import itertools
 import os
 import sys
 
 from . import features
-from .corpus import CorpusParseError, open_input, read_tagged_file, split_corpus
-from .cues import TARGET_FIRST_NOUN, TARGET_LAST_NOUN, builtin_cue_set, read_cue_file
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -60,6 +60,8 @@ def _check_files(paths) -> None:
 
 
 def _resolve_cue_set(args):
+    from .cues import builtin_cue_set, read_cue_file
+
     if args.cues:
         _check_files([args.cues])
         return read_cue_file(args.cues, args.lang)
@@ -82,7 +84,7 @@ def _resolve_gold(args):
 def _read_lemma_list(path: str) -> list[str]:
     _check_files([path])
     lemmas = []
-    with open_input(path) as fh:
+    with features.open_input(path) as fh:
         for line in fh:
             lemma = line.strip().lower()
             if lemma and not lemma.startswith("#"):
@@ -93,9 +95,12 @@ def _read_lemma_list(path: str) -> list[str]:
 
 
 def _extract_dataset(args, target_lemmas):
+    # the corpus reader and the cue matcher are compiled only for a corpus
+    from .corpus import read_tagged_file, split_corpus
+
     cue_set = _resolve_cue_set(args)
     _check_files(args.corpus)
-    policy = TARGET_LAST_NOUN if args.last_noun else TARGET_FIRST_NOUN
+    policy = features.TARGET_LAST_NOUN if args.last_noun else features.TARGET_FIRST_NOUN
     sizes = [os.stat(path).st_size for path in args.corpus]
 
     def count(part):
@@ -260,22 +265,24 @@ def _cmd_train(args) -> int:
 
     dataset = _read_labeled_dataset(args.dataset)
     params = _tree_params(args)
-    examples = [dtree.LabeledExample(v, dataset.labels[v.lemma])
-                for v in dataset.vectors]
-    tree = dtree.train(examples, params)
+    vectors = dataset.vectors
+    # dtree.train's rows, without an example object per row
+    index = dtree.ColumnIndex([v.counts for v in vectors],
+                              [dataset.labels[v.lemma] for v in vectors])
+    tree = dtree.train_rows(index, index.rows, params)
     dtree.save_model(tree, args.out, cue_ids=dataset.cue_ids, params=params,
                      language=args.lang)
     if args.tree_text:
         with open(args.tree_text, "w", encoding="utf-8") as fh:
             fh.write(dtree.format_tree(tree, dataset.cue_ids))
-    print(f"trained on {len(examples)} examples, "
+    print(f"trained on {len(vectors)} examples, "
           f"{dtree.count_nodes(tree)} nodes")
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    from . import dtree, evaluation
+    from . import dtree
 
     _check_files([args.model, args.dataset])
     tree, cue_ids, params, _ = dtree.load_model(args.model)
@@ -286,7 +293,7 @@ def _cmd_classify(args) -> int:
             f"dataset has {len(dataset.cue_ids)} ({', '.join(dataset.cue_ids)})")
     predictions = [dtree.classify(tree, v, laplace=params.laplace_confidence)
                    for v in dataset.vectors]
-    evaluation.write_lexicon_csv(predictions, args.out)
+    dtree.write_lexicon_csv(predictions, args.out)
     print(f"classified {len(predictions)} lemmas")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -478,16 +485,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # the summary is held until the command is done, so that a reader
+        # gone by then fails no step of it
+        with contextlib.redirect_stdout(io.StringIO()) as summary:
+            code = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CorpusParseError as exc:
-        print(f"corpus error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "corpus error" if _is_corpus_error(exc) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    try:
+        sys.stdout.write(summary.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing reads the summary: send what is left of it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _is_corpus_error(exc: Exception) -> bool:
+    # only a command that loaded the corpus reader can raise its error
+    corpus = sys.modules.get(f"{__package__}.corpus")
+    return corpus is not None and isinstance(exc, corpus.CorpusParseError)
 
 
 def main_entry() -> None:

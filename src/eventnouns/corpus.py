@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import functools
 import io
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence
 
 COARSE_TAGS = frozenset({
     "NOUN", "PROPN", "VERB", "AUX", "ADJ", "ADV", "DET",
@@ -173,30 +172,23 @@ def read_tagged_file(path: str, *, strict: bool = True, start: int = 0,
                             strict, path, lines_before)
 
 
-@contextmanager
-def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a whole input file as UTF-8 text; a byte-order mark at its
-    start is skipped. Every reader but the corpus reader opens its file
-    here. A byte that is not UTF-8 raises ``ValueError`` with ``path``,
-    the number of its line and the decode error; the line is left out for
-    an input that cannot be read twice, such as a pipe.
-    """
-    try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        import os  # only an input that is not UTF-8 needs it
-        if not os.path.isfile(path):
-            raise ValueError(f"{path}: {exc}") from None
-        # a read decodes bytes ahead of the lines it returns, so the failed
-        # read does not tell the line: find it as the corpus reader does
-        lines = chain.from_iterable(_range_blocks(path, 0, None))
-        for line_number, line in enumerate(lines, start=1):
-            try:
-                line.encode()
-            except UnicodeEncodeError:
-                raise _not_utf8(line, lines, line_number, path) from None
-        raise
+def decode_error(path: str, exc: UnicodeDecodeError) -> ValueError:
+    """The error for a whole input file, opened as text, whose bytes
+    raised ``exc``: ``ValueError`` with ``path``, the number of the line
+    that is not UTF-8 and the decode error; the line is left out for an
+    input that cannot be read twice, such as a pipe."""
+    import os  # only an input that is not UTF-8 needs it
+    if not os.path.isfile(path):
+        return ValueError(f"{path}: {exc}")
+    # a read decodes bytes ahead of the lines it returns, so the failed
+    # read does not tell the line: find it as the corpus reader does
+    lines = chain.from_iterable(_range_blocks(path, 0, None))
+    for line_number, line in enumerate(lines, start=1):
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            return _not_utf8(line, lines, line_number, path)
+    return exc
 
 
 def _not_utf8(line: str, rest: Iterator[str], line_number: int, path: str) -> ValueError:

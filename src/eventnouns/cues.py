@@ -37,13 +37,11 @@ from operator import add, attrgetter, invert, methodcaller, sub
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
-from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag, open_input
+from .corpus import COARSE_TAGS, Sentence, check_tag, coarse_tag
+from .features import TARGET_FIRST_NOUN, TARGET_LAST_NOUN, open_input
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-
-TARGET_FIRST_NOUN = "first"
-TARGET_LAST_NOUN = "last"
 
 MAX_STAR = 3
 # tokens per encoded chunk: a regex call per rule pays off, memory stays flat

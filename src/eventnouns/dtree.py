@@ -33,7 +33,7 @@ from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .features import FeatureVector, LABELS, NON_EVENT
+from .features import FeatureVector, LABELS, NON_EVENT, open_input, write_csv
 
 # gains and gain-ratio differences below this are treated as zero so that
 # float noise cannot create degenerate splits or unstable tie-breaks
@@ -192,7 +192,7 @@ class ColumnIndex:
     ``columns[a]`` is :func:`_value_rows` of attribute ``a``;
     ``label_masks`` maps each label present, in sorted order, to the mask
     of its rows; ``rows`` is the mask of every row. ``first`` is
-    :meth:`node` of the first label's rows.
+    :meth:`node` of the first label's rows, or of none if there are none.
     """
 
     def __init__(self, rows: Sequence[Sequence[float]], labels: Sequence[str]):
@@ -202,7 +202,7 @@ class ColumnIndex:
         # only a column of more than 64 values has places
         self._placed = any(len(column) > _MASKED for column in self.columns)
         self.label_masks = {label: mask for label, mask, _ in _value_rows(labels)}
-        self.first = self.node(next(iter(self.label_masks.values())))
+        self.first = self.node(next(iter(self.label_masks.values()), 0))
 
     def node(self, mask: int) -> tuple[int, str]:
         """``mask`` with its binary text of ``width`` digits, in which a
@@ -466,6 +466,13 @@ def predict(tree: TreeNode, vector: FeatureVector, *,
     return predicted, smoothed if laplace else share
 
 
+def write_lexicon_csv(predictions: Sequence[Prediction], path: str) -> None:
+    """Production output: lemma,predicted,confidence sorted by confidence."""
+    ordered = sorted(predictions, key=lambda p: (-p.confidence, p.lemma))
+    write_csv(path, ["lemma", "predicted", "confidence"],
+              ([p.lemma, p.predicted, str(p.confidence)] for p in ordered))
+
+
 def count_nodes(node: TreeNode) -> int:
     if node.is_leaf:
         return 1
@@ -546,9 +553,8 @@ def save_model(tree: TreeNode, path: str, *, cue_ids: Sequence[str],
 
 def load_model(path: str) -> tuple[TreeNode, tuple[str, ...], TreeParams, str]:
     """Returns (tree, cue_ids, params, language). The file is opened with
-    :func:`corpus.open_input`; an error in its contents begins with ``path``."""
+    :func:`features.open_input`; an error in its contents begins with ``path``."""
     import json
-    from .corpus import open_input
     with open_input(path) as fh:
         text = fh.read()
     try:

@@ -13,7 +13,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dtree import ColumnIndex, Prediction, TreeParams, predict, train_rows
+# write_lexicon_csv lives with classify, which writes the lexicon without
+# this module; it is named here too, with the other output writers
+from .dtree import (ColumnIndex, Prediction, TreeParams, predict, train_rows,
+                    write_lexicon_csv)
 from .features import Dataset, EVENT, normalize_label, read_csv_rows, write_csv
 
 DEFAULT_THRESHOLDS = tuple(i / 20 for i in range(21))
@@ -201,10 +204,3 @@ def write_confusion_csv(confusion: dict[str, dict[str, int]], path: str) -> None
     labels = sorted(confusion)
     write_csv(path, ["gold\\predicted", *labels],
               ([gold, *(confusion[gold][p] for p in labels)] for gold in labels))
-
-
-def write_lexicon_csv(predictions: Sequence[Prediction], path: str) -> None:
-    """Production output: lemma,predicted,confidence sorted by confidence."""
-    ordered = sorted(predictions, key=lambda p: (-p.confidence, p.lemma))
-    write_csv(path, ["lemma", "predicted", "confidence"],
-              ([p.lemma, p.predicted, str(p.confidence)] for p in ordered))

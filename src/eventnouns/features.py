@@ -6,7 +6,10 @@ counts are meaningful and kept; lemmas never seen in the corpus get
 all-zero vectors so that silent words still take part in evaluation.
 
 Every CSV file of the pipeline is read and written here, by
-:func:`read_csv_rows` and :func:`write_csv`, which own the format.
+:func:`read_csv_rows` and :func:`write_csv`, which own the format, and
+every input file but a corpus is opened here, by :func:`open_input`. The
+corpus reader and the cue matcher are imported only by the counting pass,
+so a command that reads a dataset compiles neither.
 """
 
 from __future__ import annotations
@@ -14,17 +17,25 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .corpus import Sentence, open_input
-from .cues import CueSet, TARGET_FIRST_NOUN, encode, match_encoded
+if TYPE_CHECKING:
+    from .corpus import Sentence
+    from .cues import CueHit, CueSet, EncodedChunk
 
-# the matcher seam: perfbench/replay.py wraps this name to time matching,
-# so extract_features calls it once per encoded chunk
-match_sentence = match_encoded
+# the noun of a compound that a cue hit binds: its first or its last
+TARGET_FIRST_NOUN = "first"
+TARGET_LAST_NOUN = "last"
+
+# distinct cell texts kept with their numbers per dataset read, so that each
+# is parsed once; the limit bounds the dict, and past it a text that is not
+# kept is parsed each time it is read
+PARSED_LIMIT = 65536
+
 _lemma = attrgetter("lemma")
 _cue_and_lemma = itemgetter(0, 1)  # of a CueHit
 
@@ -53,8 +64,14 @@ class FeatureVector:
         if not self.lemma:
             raise ValueError("feature vector with an empty lemma")
         counts = (*self.counts, self.total_occurrences)
-        # one C-level pass for the common case; NaN < inf is False too
-        if not all(map(math.inf.__gt__, counts)) or min(counts) < 0:
+        # two C-level passes for the common case: a NaN or an infinity makes
+        # the sum NaN or infinite, and a sum past the float range only falls
+        # through to the checks of each value
+        try:
+            valid = min(counts) >= 0 and sum(counts) < math.inf
+        except OverflowError:  # an int past the float range plus a float
+            valid = False
+        if not valid:
             if any(c < 0 for c in counts):
                 raise ValueError(f"negative count for lemma {self.lemma!r}")
             if not all(c < math.inf for c in counts):
@@ -133,6 +150,8 @@ def count_features(corpus: Iterable[Sentence], cue_set: CueSet,
     per cue and lemma are counted in C and merged into the target rows.
     The counts of two corpora add up to those of the two read as one.
     """
+    from .cues import encode
+
     targets = sorted(set(target_lemmas))
     if not targets:
         raise ValueError("target_lemmas must be non-empty")
@@ -148,6 +167,16 @@ def count_features(corpus: Iterable[Sentence], cue_set: CueSet,
             if lemma in counts:
                 counts[lemma][position[cue_id]] += n
     return counts, totals
+
+
+def match_sentence(encoded: EncodedChunk, cue_set: CueSet, *,
+                   target_policy: str = TARGET_FIRST_NOUN) -> list[CueHit]:
+    """:func:`cues.match_encoded`. The matcher seam: perfbench/replay.py
+    wraps this name to time matching, so :func:`count_features` calls it
+    once per encoded chunk."""
+    from .cues import match_encoded
+
+    return match_encoded(encoded, cue_set, target_policy=target_policy)
 
 
 def build_dataset(cue_set: CueSet, counts: Mapping[str, Sequence[int]],
@@ -203,9 +232,25 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
+@contextmanager
+def open_input(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a whole input file as UTF-8 text; a byte-order mark at its
+    start is skipped. Every reader but the corpus reader opens its file
+    here. A byte that is not UTF-8 raises ``ValueError`` with ``path``,
+    the number of its line and the decode error; the line is left out for
+    an input that cannot be read twice, such as a pipe.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        from .corpus import decode_error  # only an input that is not UTF-8 needs it
+        raise decode_error(path, exc) from None
+
+
 def read_csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(row_number, row)`` for the non-empty rows; numbering starts at 1.
-    The file is opened with :func:`corpus.open_input`; a row the ``csv``
+    The file is opened with :func:`open_input`; a row the ``csv``
     module cannot read, or one that holds a NUL byte, raises ``ValueError``
     with ``path:row``."""
     row_number = 0
@@ -236,6 +281,8 @@ def _format_number(value: float) -> str:
 def _parse_number(text: str) -> float:
     """``int(text)`` where that succeeds, else ``float(text)``. A cell
     that is not an integer raises no exception on its way to ``float``."""
+    if "." in text:  # never in a text that int() takes
+        return float(text)
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
@@ -274,6 +321,7 @@ def read_dataset_csv(path: str) -> Dataset:
     expected = len(header)
     vectors = []
     labels: dict[str, str] = {}
+    parsed: dict[str, float] = {}  # each cell text read, with its number
     for row_number, row in rows:
         try:
             if len(row) != expected:
@@ -281,10 +329,12 @@ def read_dataset_csv(path: str) -> Dataset:
                                  f"fields, expected {expected}")
             lemma = row[0].lower()
             cells = row[1:2 + len(cue_ids)]
-            try:
-                numbers = tuple(map(int, cells))
-            except ValueError:  # some cell is not an integer
-                numbers = tuple(map(_parse_number, cells))
+            numbers = tuple(map(parsed.get, cells))
+            if None in numbers:  # some cell is new to this read
+                numbers = tuple(_parse_number(cell) if number is None else number
+                                for number, cell in zip(numbers, cells))
+                if len(parsed) < PARSED_LIMIT:
+                    parsed.update(zip(cells, numbers))
             vectors.append(FeatureVector(lemma, numbers[1:], numbers[0]))
         except ValueError as exc:
             raise ValueError(f"{path}:{row_number}: {exc}") from None

@@ -240,6 +240,65 @@ def test_extract_imports_no_tree_or_evaluation_module(tmp_path):
     assert result.stdout.endswith("wrote " + str(tmp_path / "d.csv") + "\n[]\n")
 
 
+def write_labeled_dataset(tmp_path):
+    """A labeled dataset of 12 lemmas that a tree separates on C-1."""
+    path = tmp_path / "dataset.csv"
+    path.write_text("lemma,total,C-1,C-2,label\n" + "".join(
+        f"e{i},4,{i % 3 + 1},0,EVENT\nn{i},4,0,{i % 2},NON_EVENT\n" for i in range(6)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["train", "classify", "evaluate", "curve"])
+def test_dataset_commands_import_no_corpus_or_cue_module(tmp_path, capsys, command):
+    # the corpus reader and the cue matcher serve extract and evaluate
+    # --corpus only; test_extract_imports_no_tree_or_evaluation_module pins
+    # the converse
+    dataset = write_labeled_dataset(tmp_path)
+    model, evaluated = str(tmp_path / "model.json"), str(tmp_path / "eval")
+    argv = {
+        "train": ["train", "--dataset", dataset, "--out", model],
+        "classify": ["classify", "--model", model, "--dataset", dataset,
+                     "--out", str(tmp_path / "lexicon.csv")],
+        "evaluate": ["evaluate", "--dataset", dataset, "--k", "2", "--seed", "1",
+                     "--out", evaluated],
+        "curve": ["curve", "--predictions", os.path.join(evaluated, "predictions.csv"),
+                  "--out", str(tmp_path / "curve.csv")],
+    }
+    # the inputs of classify and curve
+    assert run(argv["train"]) == 0 and run(argv["evaluate"]) == 0
+    code = ("import sys; from eventnouns.cli import main; "
+            f"code = main({argv[command]!r}); "
+            "print(code, [m for m in ('eventnouns.corpus', 'eventnouns.cues') "
+            "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert result.stderr == ""
+    assert result.stdout.endswith("\n0 []\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_gone_before_the_summary_fails_no_command(tmp_path, unbuffered):
+    # the summary is written once the command is done: a closed stdout then
+    # leaves its files written and exit code 0, while an output file that
+    # is that closed pipe still fails the command
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    dataset, model = write_labeled_dataset(tmp_path), tmp_path / "model.json"
+    for out, code, stderr in ((str(model), 0, ""),
+                              ("/dev/stdout", 1, "error: [Errno 32] Broken pipe\n")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "eventnouns.cli", "train", "--dataset", dataset,
+                 "--out", out], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+        assert (result.returncode, result.stderr) == (code, stderr)
+    assert json.loads(model.read_text())["format"] == "eventnouns-tree/1"
+
+
 def test_gold_with_byte_order_mark_reads_as_without(tmp_path, capsys):
     corpus = write_corpus(tmp_path)
     gold = Path(write_gold(tmp_path, [("war", "EVENT"), ("map", "NON_EVENT")]))

@@ -15,7 +15,7 @@ from eventnouns.corpus import (
 )
 from eventnouns.cues import builtin_cue_set
 from eventnouns.data import SynthParams, generate_synthetic_corpus
-from eventnouns.features import extract_features
+from eventnouns.features import extract_features, open_input
 from eventnouns import corpus
 
 
@@ -347,7 +347,7 @@ def test_a_byte_that_is_not_utf8_ending_the_last_line_decodes_with_its_ending(
             list(read_tagged_file(str(path), strict=False))
         assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
-        with corpus.open_input(str(path)) as fh:
+        with open_input(str(path)) as fh:
             fh.read()
     assert str(exc.value) == message
 

@@ -4,11 +4,11 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import sent, with_rules_enabled
 from test_cues import _LEMMAS, _reference_match_sentence, _rule_sets, _sentence, hits_of
-from eventnouns import cues
+from eventnouns import cues, features
 from eventnouns.corpus import coarse_tag, parse_tagged_corpus
 from eventnouns.cues import (
     TARGET_FIRST_NOUN,
@@ -332,6 +332,33 @@ def test_parse_number_cases(text):
     assert _outcome(_parse_number, text) == _outcome(_int_else_float, text)
 
 
+_NUMBER_CELLS = ["0", "-0", "-0.0", "1", "2", "10", "1023", "1024", "1500", "007", "+3",
+                 " 4", "1_0", "1.0", "0.5", "2e0", "1e3", "0.25", "٣"]
+_NONZERO_CELLS = [cell for cell in _NUMBER_CELLS if float(cell.replace("_", "")) != 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*map(st.sampled_from, (_NONZERO_CELLS, _NUMBER_CELLS,
+                                                  _NUMBER_CELLS))),
+                min_size=1, max_size=8),
+       st.sampled_from([0, 2, features.PARSED_LIMIT]))
+def test_read_dataset_csv_parses_each_cell_as_int_else_float(tmp_path_factory, rows,
+                                                              limit):
+    # a cell text read before gives the number it gave then, and past the
+    # limit a new text is parsed on its own
+    path = tmp_path_factory.mktemp("cells") / "dataset.csv"
+    path.write_text("lemma,total,C-1,C-2\n" + "".join(
+        f"w{i},{','.join(cells)}\n" for i, cells in enumerate(rows)), encoding="utf-8")
+    saved, features.PARSED_LIMIT = features.PARSED_LIMIT, limit
+    try:
+        vectors = read_dataset_csv(str(path)).vectors
+    finally:
+        features.PARSED_LIMIT = saved
+    assert [[(type(x), repr(x)) for x in (v.total_occurrences, *v.counts)]
+            for v in vectors] == [
+        [(type(x), repr(x)) for x in map(_int_else_float, cells)] for cells in rows]
+
+
 def test_read_relative_dataset_csv_keeps_ints_and_floats(tmp_path):
     path = tmp_path / "relative.csv"
     path.write_text("lemma,total,C-1,C-2,label\nwar,4,0.75,0,EVENT\n"
@@ -355,6 +382,44 @@ def test_read_relative_dataset_csv_keeps_ints_and_floats(tmp_path):
 def test_feature_vector_check_order(counts, total, message):
     with pytest.raises(ValueError, match=message):
         FeatureVector("a", counts, total)
+
+
+def _per_value_check(counts, total):
+    """The message of the first rule of FeatureVector's check that the
+    values break, tested value by value; None if they break none."""
+    values = (*counts, total)
+    if any(c < 0 for c in values):
+        return "negative count for lemma 'a'"
+    if not all(c < math.inf for c in values):
+        return "non-finite count for lemma 'a'"
+    if total == 0 and any(c != 0 for c in counts):
+        return "lemma 'a' has cue counts but no occurrences"
+    return None
+
+
+_COUNTS = st.one_of(
+    st.integers(min_value=-2, max_value=50),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, math.inf, -math.inf, math.nan,
+                     10**400, -10**400]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_COUNTS, max_size=4), _COUNTS)
+@example([1e308, 1e308], 1)         # a float sum past the float range
+@example([10**400, 0.5], 1)         # an int past the float range plus a float
+@example([10**400, 10**400], 10**400)
+@example([-0.0, 0.0], -0.0)
+@example([math.nan, -1], 1)         # NaN first: min() keeps it
+@example([1, math.nan], 0)          # NaN later: min() passes it, sum() does not
+@example([math.inf, -math.inf], 1)
+def test_feature_vector_check_is_the_per_value_check(counts, total):
+    try:
+        FeatureVector("a", tuple(counts), total)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == _per_value_check(counts, total)
 
 
 @pytest.mark.parametrize("row", ["war,4,nan", "war,4,inf", "war,nan,1"],
