@@ -406,7 +406,8 @@ def _add_tree_options(parser):
     parser.add_argument("--min-leaf", type=int, default=2, action=_AT_LEAST_ONE,
                         help="minimum examples per split side (default 2)")
     parser.add_argument("--cf", type=float, default=0.25,
-                        action=_in_range("in (0, 1)", lambda v: 0 < v < 1),
+                        # 1 - cf, which pruning reads, must round below 1 too
+                        action=_in_range("in (0, 1)", lambda v: 0 < 1 - v < 1),
                         help="pruning confidence factor (default 0.25)")
     parser.add_argument("--no-prune", action="store_true",
                         help="disable pessimistic pruning")

@@ -2,8 +2,10 @@
 
 Binary threshold splits chosen by gain ratio, pessimistic-error subtree
 replacement pruning, and leaf class distributions that double as prediction
-confidence. Everything is deterministic: ties break toward the lowest
-attribute index, the lowest threshold, and the NON_EVENT class.
+confidence. Pruning is post-order, so it runs as each subtree's growth
+returns: a tree is grown and pruned in one recursive pass. Everything is
+deterministic: ties break toward the lowest attribute index, the lowest
+threshold, and the NON_EVENT class.
 
 Growth works on row bitmasks: a Python ``int`` whose bit ``i`` stands
 for row ``i`` of the training set, so a node is the mask of its rows and
@@ -60,7 +62,9 @@ class TreeParams:
     def __post_init__(self):
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if not 0 < self.confidence_factor < 1:
+        # pruning reads the normal quantile of 1 - cf, and a cf at or
+        # below 2**-54 rounds that to 1.0, which has none
+        if not 0 < 1 - self.confidence_factor < 1:
             raise ValueError("confidence_factor must be in (0, 1)")
 
 
@@ -310,12 +314,14 @@ def pessimistic_upper_bound(errors: int, n: int, confidence_factor: float) -> fl
 
     The zero-error case uses the closed form ``1 - CF**(1/n)``; otherwise a
     normal approximation with a 0.5 continuity correction, clamped to 1.
+    ``1 - confidence_factor`` must be in (0, 1), so a factor at or below
+    2**-54, for which it rounds to 1.0, is refused.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= errors <= n:
         raise ValueError("errors must be in 0..n")
-    if not 0 < confidence_factor < 1:
+    if not 0 < 1 - confidence_factor < 1:
         raise ValueError("confidence_factor must be in (0, 1)")
     if errors == 0:
         return 1.0 - confidence_factor ** (1.0 / n)
@@ -348,7 +354,8 @@ def _majority(class_counts: Mapping[str, int]) -> str:
 
 def train(examples: Sequence[LabeledExample],
           params: TreeParams | None = None) -> TreeNode:
-    """Grow a tree greedily, then prune bottom-up unless disabled.
+    """Grow a tree greedily, pruning each subtree as its growth returns
+    unless pruning is disabled.
 
     Growth stops at pure nodes, nodes smaller than ``2 * min_leaf``, and
     nodes where no attribute offers a qualifying split. Splits maximize
@@ -371,27 +378,36 @@ def train(examples: Sequence[LabeledExample],
 
 def train_rows(index: ColumnIndex, mask: int,
                params: TreeParams | None = None) -> TreeNode:
-    """:func:`train` on the rows of ``index`` in ``mask``."""
+    """:func:`train` on the rows of ``index`` in ``mask``, grown and pruned
+    in one pass by :func:`_grow`."""
     params = params or TreeParams()
     if not mask:
         raise ValueError("cannot train on an empty example set")
     labels = [(label, rows) for label, rows in index.label_masks.items() if rows & mask]
-    node = _grow(mask, index.columns, labels, index, params)
-    if params.pruning:
-        node, _ = _pruned(node, params.confidence_factor)
-    return node
+    return _grow(mask, index.columns, labels, index, params)[0]
 
 
 def _grow(mask: int, columns: list[list[tuple]], labels: list[tuple[str, int]],
-          index: ColumnIndex, params: TreeParams) -> TreeNode:
-    """Grow the subtree of the rows in ``mask``. ``columns`` holds, per
-    attribute, the :func:`_value_rows` entries of ``index`` of at least the
-    values held by those rows, in value order; ``labels`` pairs each label
-    of the training rows, in sorted order, with the mask of its rows."""
+          index: ColumnIndex, params: TreeParams) -> tuple[TreeNode, float]:
+    """Grow the subtree of the rows in ``mask`` and prune it as its growth
+    returns. ``columns`` holds, per attribute, the :func:`_value_rows`
+    entries of ``index`` of at least the values held by those rows, in
+    value order; ``labels`` pairs each label of the training rows, in
+    sorted order, with the mask of its rows.
+
+    Returns the subtree and its pessimistic error estimate: a leaf's is
+    ``n`` times :func:`pessimistic_upper_bound` of its minority count, and
+    a split's is the sum of its pruned children's. A split whose leaf
+    estimate does not exceed that sum becomes a leaf. Without pruning no
+    estimate is computed, and the one returned is 0.0.
+    """
     counts = {label: (mask & rows).bit_count() for label, rows in labels}
     n = mask.bit_count()
-    if max(counts.values()) == n or n < 2 * params.min_leaf:
-        return TreeNode(counts)
+    majority = max(counts.values())
+    leaf = (n * pessimistic_upper_bound(n - majority, n, params.confidence_factor)
+            if params.pruning else 0.0)
+    if majority == n or n < 2 * params.min_leaf:
+        return TreeNode(counts), leaf
     # not pure, so both labels are here: exactly two totals, and the first
     # is the index's first
     totals = list(counts.values())
@@ -410,33 +426,15 @@ def _grow(mask: int, columns: list[list[tuple]], labels: list[tuple[str, int]],
         if best is None or ratio > best[0] + _EPS:
             best = (ratio, attribute, threshold)
     if best is None:
-        return TreeNode(counts)
+        return TreeNode(counts), leaf
     _, attribute, threshold = best
-    left = _at_most(index, held[attribute], mask, threshold)
-    return TreeNode(counts, attribute, threshold,
-                    _grow(left, held, labels, index, params),
-                    _grow(mask & ~left, held, labels, index, params))
-
-
-def _leaf_errors(class_counts: Mapping[str, int], cf: float) -> float:
-    """Pessimistic error estimate of a leaf holding ``class_counts``."""
-    n = sum(class_counts.values())
-    errors = n - max(class_counts.values())
-    return n * pessimistic_upper_bound(errors, n, cf)
-
-
-def _pruned(node: TreeNode, cf: float) -> tuple[TreeNode, float]:
-    """Prune bottom-up; returns the subtree and its estimated errors."""
-    leaf_estimate = _leaf_errors(node.class_counts, cf)
-    if node.is_leaf:
-        return node, leaf_estimate
-    left, left_errors = _pruned(node.left, cf)
-    right, right_errors = _pruned(node.right, cf)
-    subtree_estimate = left_errors + right_errors
-    if leaf_estimate <= subtree_estimate:
-        return TreeNode(dict(node.class_counts)), leaf_estimate
-    return (TreeNode(node.class_counts, node.attribute, node.threshold, left, right),
-            subtree_estimate)
+    left_mask = _at_most(index, held[attribute], mask, threshold)
+    left, left_errors = _grow(left_mask, held, labels, index, params)
+    right, right_errors = _grow(mask & ~left_mask, held, labels, index, params)
+    subtree = left_errors + right_errors
+    if params.pruning and leaf <= subtree:
+        return TreeNode(counts), leaf
+    return TreeNode(counts, attribute, threshold, left, right), subtree
 
 
 def classify(tree: TreeNode, vector: FeatureVector, *,

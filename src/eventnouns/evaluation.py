@@ -80,6 +80,9 @@ def cross_validate(dataset: Dataset, params: TreeParams | None = None,
     golds = [dataset.labels[v.lemma] for v in vectors]
     # one index for every fold: a fold trains on the rows outside its mask
     index = ColumnIndex([v.counts for v in vectors], golds)
+    # a fold tree predicts only labels of its training rows, all gold ones
+    labels = sorted(set(golds))
+    confusion = {gold: {predicted: 0 for predicted in labels} for gold in labels}
     pooled: list[Prediction] = []
     fold_accuracies = []
     for fold in folds:
@@ -89,14 +92,11 @@ def cross_validate(dataset: Dataset, params: TreeParams | None = None,
             vector, gold = vectors[i], golds[i]
             predicted, confidence = predict(tree, vector, laplace=params.laplace_confidence)
             pooled.append(Prediction(vector.lemma, predicted, confidence, gold))
+            confusion[gold][predicted] += 1
             correct += predicted == gold
         fold_accuracies.append(correct / len(fold))
     pooled.sort(key=lambda p: p.lemma)
-    total_correct = sum(1 for p in pooled if p.predicted == p.gold)
-    labels = sorted({p.gold for p in pooled} | {p.predicted for p in pooled})
-    confusion = {gold: {predicted: 0 for predicted in labels} for gold in labels}
-    for p in pooled:
-        confusion[p.gold][p.predicted] += 1
+    total_correct = sum(confusion[label][label] for label in labels)
     return EvalReport(fold_accuracies, total_correct / len(pooled),
                       pooled, confusion)
 

@@ -279,20 +279,13 @@ def _format_number(value: float) -> str:
 
 
 def _parse_number(text: str) -> float:
-    """``int(text)`` where that succeeds, else ``float(text)``. A cell
-    that is not an integer raises no exception on its way to ``float``."""
+    """``int(text)`` where that succeeds, else ``float(text)``."""
     if "." in text:  # never in a text that int() takes
         return float(text)
-    digits = text.strip()
-    if digits[:1] in ("+", "-"):
-        digits = digits[1:]
-    # int() takes decimal digits with single underscores between them
-    if digits.replace("_", "").isdecimal() and "__" not in f"_{digits}_":
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    return float(text)
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

@@ -627,8 +627,10 @@ LABELED_DATASET = ("lemma,total,X-1,label\n"
      "--cf must be in (0, 1), got 1.5"),
     (["train", "--min-leaf", "0"], "--min-leaf must be >= 1, got 0"),
     (["train", "--cf", "0"], "--cf must be in (0, 1), got 0"),
+    # 1 - 1e-17 rounds to 1.0, which pruning cannot take
+    (["train", "--cf", "1e-17"], "--cf must be in (0, 1), got 1e-17"),
 ], ids=["evaluate-threshold", "evaluate-k", "evaluate-min-leaf", "evaluate-cf",
-        "train-min-leaf", "train-cf"])
+        "train-min-leaf", "train-cf", "train-cf-rounding-to-0"])
 def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv, message):
     dataset = tmp_path / "dataset.csv"
     dataset.write_text(LABELED_DATASET, encoding="utf-8")

@@ -369,6 +369,10 @@ def test_params_validation():
         TreeParams(min_leaf=0)
     with pytest.raises(ValueError):
         TreeParams(confidence_factor=1.5)
+    # 1 - 1e-17 rounds to 1.0, whose normal quantile pruning cannot take
+    with pytest.raises(ValueError):
+        TreeParams(confidence_factor=1e-17)
+    TreeParams(confidence_factor=5.56e-17)
 
 
 # --- classification -------------------------------------------------------------
@@ -722,10 +726,11 @@ def _small_datasets(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_small_datasets(), st.integers(1, 3), st.booleans())
-def test_training_matches_pairwise_reference_property(dataset, min_leaf, pruning):
+@given(_small_datasets(), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0.05, 0.25, 0.5, 0.9]))
+def test_training_matches_pairwise_reference_property(dataset, min_leaf, pruning, cf):
     examples = _examples_of(dataset)
-    params = TreeParams(min_leaf=min_leaf, pruning=pruning)
+    params = TreeParams(min_leaf=min_leaf, confidence_factor=cf, pruning=pruning)
     assert train(examples, params) == _reference_train(examples, params)
 
 

@@ -141,12 +141,21 @@ def test_pooled_predictions_cover_each_lemma_once():
 
 
 def test_confusion_matrix_totals():
-    dataset = separable_dataset(12, 14)
-    report = cross_validate(dataset, TreeParams(), k=4, seed=2)
-    total = sum(c for row in report.confusion.values() for c in row.values())
-    assert total == len(dataset)
-    correct = sum(report.confusion[label][label] for label in report.confusion)
-    assert correct / total == pytest.approx(report.mean_accuracy)
+    # the second dataset holds one class, so every fold tree is one leaf
+    for dataset in (separable_dataset(12, 14), separable_dataset(12, 0)):
+        report = cross_validate(dataset, TreeParams(), k=4, seed=2)
+        total = sum(c for row in report.confusion.values() for c in row.values())
+        assert total == len(dataset)
+        correct = sum(report.confusion[label][label] for label in report.confusion)
+        assert correct / total == pytest.approx(report.mean_accuracy)
+        labels = sorted({p.gold for p in report.predictions}
+                        | {p.predicted for p in report.predictions})
+        recount = {gold: {predicted: 0 for predicted in labels} for gold in labels}
+        for p in report.predictions:
+            recount[p.gold][p.predicted] += 1
+        assert report.confusion == recount
+        assert report.mean_accuracy == \
+            sum(p.predicted == p.gold for p in report.predictions) / len(report.predictions)
 
 
 # --- precision curve --------------------------------------------------------------
