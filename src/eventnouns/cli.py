@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import gc
 import io
-import itertools
 import os
 import sys
 
@@ -20,9 +19,6 @@ from . import features
 EXIT_OK = 0
 EXIT_PIPELINE = 1
 EXIT_USAGE = 2
-
-# a corpus is counted in parts, one per CPU, of at least this many bytes each
-PART_BYTES = 1 << 20
 
 
 class UsageError(Exception):
@@ -77,7 +73,10 @@ def _resolve_gold(args):
         return english_gold()
     if args.gold:
         _check_files([args.gold])
-        return load_gold(args.gold, language=args.lang)
+        gold = load_gold(args.gold, language=args.lang)
+        if not gold.entries:
+            raise UsageError(f"{args.gold}: no lemmas found")
+        return gold
     return None
 
 
@@ -95,24 +94,22 @@ def _read_lemma_list(path: str) -> list[str]:
 
 
 def _extract_dataset(args, target_lemmas):
-    # the corpus reader and the cue matcher are compiled only for a corpus
-    from .corpus import read_tagged_file, split_corpus
+    # the corpus reader, the cue matcher and the part map are compiled only
+    # for a corpus
+    from .corpus import read_run, split_corpus
+    from .parts import map_parts, workers
 
     cue_set = _resolve_cue_set(args)
     _check_files(args.corpus)
     policy = features.TARGET_LAST_NOUN if args.last_noun else features.TARGET_FIRST_NOUN
-    sizes = [os.stat(path).st_size for path in args.corpus]
 
-    def count(part):
-        sentences = itertools.chain.from_iterable(
-            read_tagged_file(path, strict=not args.lenient, start=start, end=end)
-            for path, start, end in part)
-        counts, totals = features.count_features(sentences, cue_set, target_lemmas,
+    def count(run):
+        counts, totals = features.count_features(read_run(run, strict=not args.lenient),
+                                                 cue_set, target_lemmas,
                                                  target_policy=policy)
         return counts, dict(totals)
 
-    parts = split_corpus(args.corpus, sizes, _part_count(sum(sizes)))
-    results = _count_parts(count, parts, args.lenient)
+    results = map_parts(count, split_corpus(args.corpus, workers()))
     counts, totals = results[0]
     for more_counts, more_totals in results[1:]:
         for lemma, row in more_counts.items():
@@ -123,105 +120,6 @@ def _extract_dataset(args, target_lemmas):
     if args.relative:
         dataset = features.to_relative(dataset)
     return dataset
-
-
-def _part_count(total_bytes: int) -> int:
-    """The parts to count a corpus of ``total_bytes`` in: one per CPU this
-    process may run on, each of at least PART_BYTES. One where os.fork is
-    missing, or where a second thread runs, as a child of fork() holds
-    only the thread that made it."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, total_bytes // PART_BYTES))
-
-
-def _count_parts(count, parts, lenient: bool):
-    """``count(part)`` for each part, in order: the first in this process,
-    each other in a child from os.fork, started before it.
-
-    A child sends its result and the corpus warnings it logged, or nothing
-    if anything goes wrong. The warnings are logged again here, part by
-    part in file order. A part with no result from a child (one that
-    raised, was killed or could not be forked) is counted here instead,
-    so every result, message and traceback comes from the ``count(part)``
-    a run in one part makes. On every path each child is reaped, after a
-    kill if its result is not needed.
-    """
-    import marshal
-
-    children = []  # each later part's (pid, pipe) until reaped, or None
-    try:
-        for part in parts[1:]:
-            children.append(_fork_count(count, part, lenient))
-        results = [count(parts[0])]
-        for number, part in enumerate(parts[1:]):
-            status = 1  # no child, or no result from it: the part is counted here
-            if children[number]:
-                pid, pipe = children[number]
-                with pipe:
-                    data = pipe.read()
-                children[number] = None
-                _, status = os.waitpid(pid, 0)
-            if status:
-                results.append(count(part))
-                continue
-            result, warnings = marshal.loads(data)
-            if warnings:
-                import logging
-                for message in warnings:
-                    logging.getLogger(_CORPUS_LOG).warning("%s", message)
-            results.append(result)
-        return results
-    finally:
-        for child in filter(None, children):
-            import signal
-            pid, pipe = child
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-# the logger of the corpus reader's warnings
-_CORPUS_LOG = "eventnouns.corpus"
-
-
-def _fork_count(count, part, lenient: bool):
-    """Start a child that sends ``count(part)`` and the corpus warnings it
-    logs as marshal bytes, or nothing if anything goes wrong, and leaves
-    through os._exit; returns its pid and the read end of its pipe, or
-    None if os.fork fails."""
-    import marshal
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, open(read_end, "rb")
-    code = 1
-    try:
-        os.close(read_end)
-        warnings: list[str] = []
-        if lenient:  # a strict read logs no warning
-            import logging
-            handler = logging.Handler()
-            handler.emit = lambda record: warnings.append(record.getMessage())
-            logger = logging.getLogger(_CORPUS_LOG)
-            logger.handlers, logger.propagate = [handler], False
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps((count(part), warnings)))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _read_labeled_dataset(path: str) -> features.Dataset:

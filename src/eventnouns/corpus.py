@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
@@ -37,6 +38,8 @@ INTERN_LIMIT = 4096
 BLOCK_BYTES = 16384
 # the two byte pairs that end a blank line, LF or CRLF, after a line end
 _BLANK_LINE_ENDS = (b"\n\n", b"\n\r\n")
+# the least bytes of corpus that split_corpus puts in each part
+PART_BYTES = 1 << 20
 
 
 def coarse_tag(tag: str) -> str:
@@ -177,7 +180,6 @@ def decode_error(path: str, exc: UnicodeDecodeError) -> ValueError:
     raised ``exc``: ``ValueError`` with ``path``, the number of the line
     that is not UTF-8 and the decode error; the line is left out for an
     input that cannot be read twice, such as a pipe."""
-    import os  # only an input that is not UTF-8 needs it
     if not os.path.isfile(path):
         return ValueError(f"{path}: {exc}")
     # a read decodes bytes ahead of the lines it returns, so the failed
@@ -237,22 +239,23 @@ def _lines_before(path: str, start: int) -> int:
 Segment = tuple[str, int, int | None]  # a path and a byte range of it
 
 
-def split_corpus(paths: Sequence[str], sizes: Sequence[int],
-                 parts: int) -> list[list[Segment]]:
-    """Cut corpus files, read one after another, into at most ``parts``
-    runs of whole sentences of about equal size.
+def split_corpus(paths: Sequence[str], parts: int) -> list[list[Segment]]:
+    """Cut corpus files, read one after another, into runs of whole
+    sentences of about equal size for :func:`read_run`: at most ``parts``
+    of them, and at most one per ``PART_BYTES`` bytes of the files.
 
-    ``sizes`` gives each file's size in bytes. A run is the list of
-    ``(path, start, end)`` ranges to read in turn with
-    :func:`read_tagged_file`, ``end`` None to the end of the file. The
-    ``k``-th cut is just past the first ``\\n\\n`` or ``\\n\\r\\n`` at or
-    past ``k * sum(sizes) // parts`` in the joined bytes: the end of a
-    blank line, so a sentence end and a UTF-8 character boundary. Where
-    the rest of that file has no such pair, the cut is the file's end.
+    A run is a list of ``(path, start, end)`` ranges, ``end`` None to the
+    end of the file. The ``k``-th cut into ``n`` parts is just past the first
+    ``\\n\\n`` or ``\\n\\r\\n`` at or past ``k * total // n`` in the joined
+    bytes: the end of a blank line, so a sentence end and a UTF-8
+    character boundary. Where the rest of that file has no such pair, the
+    cut is the file's end. A pipe has size 0, so it is never cut.
     """
-    cuts = [(0, 0)]  # (index of a file, offset in it)
+    sizes = [os.stat(path).st_size for path in paths]
     total, file, base = sum(sizes), 0, 0
-    for k in range(1, parts if total else 1):
+    parts = min(parts, total // PART_BYTES)
+    cuts = [(0, 0)]  # (index of a file, offset in it)
+    for k in range(1, parts):
         target = k * total // parts
         while base + sizes[file] <= target:
             base += sizes[file]
@@ -270,6 +273,13 @@ def split_corpus(paths: Sequence[str], sizes: Sequence[int],
                          *((path, 0, None) for path in paths[first + 1:last]),
                          *([(paths[last], 0, end)] if end else [])])
     return runs
+
+
+def read_run(run: Iterable[Segment], *, strict: bool = True) -> Iterator[Sentence]:
+    """The sentences of each range of ``run`` in turn, as
+    :func:`read_tagged_file` reads it."""
+    return chain.from_iterable(read_tagged_file(path, strict=strict, start=start, end=end)
+                               for path, start, end in run)
 
 
 def _blank_line_end(path: str, offset: int) -> int | None:

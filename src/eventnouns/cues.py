@@ -100,6 +100,8 @@ class CueRule:
     enabled: bool = True
 
     def __post_init__(self):
+        if not self.id:
+            raise ValueError("empty rule id")
         if self.polarity not in (POSITIVE, NEGATIVE):
             raise ValueError(f"bad polarity: {self.polarity!r}")
         if not self.elements:
@@ -457,6 +459,8 @@ def load_cue_set(lines: Iterable[str], language: str) -> CueSet:
                                  flag == "enabled"))
         except ValueError as exc:
             raise ValueError(f"cue line {line_number}: {exc}") from None
+    if not rules:
+        raise ValueError("no cue rules found")
     return CueSet(language, tuple(rules))
 
 

@@ -250,9 +250,9 @@ def write_labeled_dataset(tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "classify", "evaluate", "curve"])
 def test_dataset_commands_import_no_corpus_or_cue_module(tmp_path, capsys, command):
-    # the corpus reader and the cue matcher serve extract and evaluate
-    # --corpus only; test_extract_imports_no_tree_or_evaluation_module pins
-    # the converse
+    # the corpus reader, the cue matcher and the part map serve extract and
+    # evaluate --corpus only; test_extract_imports_no_tree_or_evaluation_module
+    # pins the converse
     dataset = write_labeled_dataset(tmp_path)
     model, evaluated = str(tmp_path / "model.json"), str(tmp_path / "eval")
     argv = {
@@ -268,8 +268,8 @@ def test_dataset_commands_import_no_corpus_or_cue_module(tmp_path, capsys, comma
     assert run(argv["train"]) == 0 and run(argv["evaluate"]) == 0
     code = ("import sys; from eventnouns.cli import main; "
             f"code = main({argv[command]!r}); "
-            "print(code, [m for m in ('eventnouns.corpus', 'eventnouns.cues') "
-            "if m in sys.modules])")
+            "print(code, [m for m in ('eventnouns.corpus', 'eventnouns.cues', "
+            "'eventnouns.parts') if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert result.stderr == ""
@@ -802,14 +802,22 @@ def test_dataset_error_names_file_and_row(tmp_path, capsys, row, where, message)
     (["extract", "--corpus", "CORPUS", "--lemmas", "COMMENTS"], "COMMENTS: no lemmas found"),
     (["evaluate", "--seed", "1"], "need --dataset FILE or --corpus FILE ..."),
     (["evaluate", "--seed", "1", "--corpus", "CORPUS"], "need --builtin-gold or --gold FILE"),
-], ids=["lemmas-only-comments", "evaluate-without-input", "evaluate-corpus-without-gold"])
+    (["extract", "--corpus", "CORPUS", "--gold", "HEADER"], "HEADER: no lemmas found"),
+    (["evaluate", "--seed", "1", "--corpus", "CORPUS", "--gold", "HEADER"],
+     "HEADER: no lemmas found"),
+], ids=["lemmas-only-comments", "evaluate-without-input", "evaluate-corpus-without-gold",
+        "extract-gold-only-header", "evaluate-gold-only-header"])
 def test_missing_input_is_usage_error(tmp_path, capsys, argv, message):
     comments = tmp_path / "lemmas.txt"
     comments.write_text("# no lemma here\n\n", encoding="utf-8")
-    files = {"CORPUS": write_corpus(tmp_path), "COMMENTS": str(comments)}
+    header = tmp_path / "gold.csv"
+    header.write_text("lemma,label\n", encoding="utf-8")
+    files = {"CORPUS": write_corpus(tmp_path), "COMMENTS": str(comments),
+             "HEADER": str(header)}
     out = tmp_path / "out"
     assert run([files.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 2
-    message = message.replace("COMMENTS", files["COMMENTS"])
+    for name in ("COMMENTS", "HEADER"):
+        message = message.replace(name, files[name])
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -236,7 +236,7 @@ def test_load_custom_cue_file():
     assert [h.cue_id for h in hits_of(s, cs)] == ["X-1"]
 
 
-def test_cue_file_errors():
+def test_cue_file_errors(tmp_path):
     with pytest.raises(ValueError):
         load_cue_set(["X-1\tpositive\tlemma=a lemma=b"], "EN")  # no TARGET
     with pytest.raises(ValueError):
@@ -248,6 +248,11 @@ def test_cue_file_errors():
     with pytest.raises(ValueError) as exc:
         load_cue_set(["X-1\tpositive\tTARGET", "X-1\tpositive\tTARGET"], "EN")
     assert "X-1" in str(exc.value)
+    path = tmp_path / "rules.tsv"
+    path.write_text("# a comment\n\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_cue_file(str(path), "EN")
+    assert str(exc.value) == f"{path}: no cue rules found"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -270,10 +275,11 @@ def test_cue_file_errors():
     ("X-1\tpositive\tsurface=|the TARGET", "cue line 2: empty surface value"),
     ("X-1\tpositive\tlemma=a,lemma=b TARGET",
      "cue line 2: constraint field 'lemma' given twice"),
+    ("\tpositive\tlemma=during TARGET", "cue line 2: empty rule id"),
 ], ids=["field-count", "flag", "empty-atom", "unknown-field", "literal-with-tag",
         "unknown-tag", "bad-polarity", "empty-refinement", "repeating-literal",
         "literal-double-plus", "literal-leading-plus", "empty-lemma-value",
-        "empty-surface-value", "repeated-field"])
+        "empty-surface-value", "repeated-field", "empty-id"])
 def test_cue_line_error_message(tmp_path, line, message):
     lines = ["# a comment line counts", line]
     with pytest.raises(ValueError) as exc:

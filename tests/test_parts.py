@@ -1,7 +1,10 @@
-"""A corpus counted in parts: byte ranges cut just past blank lines, each
-counted in its own process, must give what one part gives, messages
-included. Splitting is forced here by lowering ``cli.PART_BYTES`` and
-raising the CPU count, in the test process or in a fresh one."""
+"""The part map and a corpus counted in parts. ``parts.map_parts`` must
+give what the loop in one process gives, results, standard error and
+exceptions included, whatever its children do. Byte ranges of a corpus
+cut just past blank lines, each counted by ``extract`` in its own
+process, must give what one part gives, messages included. Splitting is
+forced here by lowering ``corpus.PART_BYTES`` and raising the CPU count,
+in the test process or in a fresh one."""
 
 import errno
 import os
@@ -9,14 +12,16 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
-from eventnouns import cli, features
+from eventnouns import cli, corpus, features
 from eventnouns.corpus import CorpusParseError, read_tagged_file, split_corpus
+from eventnouns.parts import map_parts, workers
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BOM = "﻿"
@@ -67,9 +72,14 @@ def line_count(data: bytes) -> int:
 def force_parts(monkeypatch, cpus=1000):
     """Count every corpus in as many parts as it has blank lines, up to
     ``cpus``, and return the pids of the children forked."""
-    monkeypatch.setattr(cli, "PART_BYTES", 1)
+    monkeypatch.setattr(corpus, "PART_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    return record_forks(monkeypatch)
+
+
+def record_forks(monkeypatch):
+    """The pids of the children that os.fork makes from now on."""
     forked = []
     fork = os.fork
 
@@ -101,6 +111,90 @@ ENDINGS = {
 }
 
 
+# --- the part map on a plain function -----------------------------------------
+
+def test_map_parts_gives_results_in_item_order_from_other_processes(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)),
+                        raising=False)
+    forked = record_forks(monkeypatch)
+    results = map_parts(lambda n: (n * n, os.getpid()), range(workers()))
+    assert [square for square, _ in results] == [n * n for n in range(6)]
+    assert [pid for _, pid in results] == [os.getpid(), *forked]
+    assert len(set(forked)) == 5
+    assert_no_child_left()
+
+
+def test_map_parts_writes_each_items_stderr_in_item_order(tmp_path, capsys):
+    finished = tmp_path / "finished"
+
+    def later_ends_first(n):
+        print(f"item {n} begins", file=sys.stderr)
+        time.sleep((3 - n) * 0.2)
+        print(f"item {n} ends", file=sys.stderr)
+        with open(finished, "a") as fh:
+            fh.write(f"{n}\n")
+        return n
+
+    assert map_parts(later_ends_first, range(4)) == [0, 1, 2, 3]
+    assert finished.read_text().split() == ["3", "2", "1", "0"]
+    assert capsys.readouterr().err == "".join(
+        f"item {n} begins\nitem {n} ends\n" for n in range(4))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raise", "kill", "fork"])
+def test_map_parts_computes_here_an_item_with_no_result(monkeypatch, capsys, fault):
+    parent, computed_here, forks = os.getpid(), [], []
+
+    def square(n):
+        print(f"item {n}", file=sys.stderr)
+        if os.getpid() == parent:
+            computed_here.append(n)
+        elif n == 2 and fault == "raise":
+            raise TypeError("a fault")
+        elif n == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return n * n
+
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(len(forks) + 1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    if fault == "fork":
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+    assert map_parts(square, range(4)) == [0, 1, 4, 9]
+    assert computed_here == [0, 2]
+    assert forks == ([1, 2, 3] if fault == "fork" else [])
+    assert capsys.readouterr().err == "item 0\nitem 1\nitem 2\nitem 3\n"
+    assert_no_child_left()
+
+
+def test_map_parts_raises_what_the_loop_raises(capsys):
+    def fails_on_two(n):
+        print(f"item {n}", file=sys.stderr)
+        if n == 2:
+            raise TypeError(f"a fault in item {n}")
+        return n
+
+    with pytest.raises(TypeError, match="a fault in item 2"):
+        map_parts(fails_on_two, range(5))
+    assert capsys.readouterr().err == "item 0\nitem 1\nitem 2\n"
+    assert_no_child_left()
+
+
+def test_map_parts_of_one_item_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert map_parts(lambda n: n + 1, [1]) == [2]
+    assert map_parts(lambda n: n + 1, []) == []
+
+
 # --- reading byte ranges ------------------------------------------------------
 
 @pytest.mark.parametrize("mark", ["", BOM], ids=["plain", "bom"])
@@ -120,7 +214,9 @@ def test_ranges_cut_at_any_blank_line_read_as_the_whole(tmp_path, endings, mark)
             for s in read_tagged_file(path, start=start, end=end)] == whole
 
 
-def test_split_corpus_cuts_just_past_the_first_blank_line_at_or_past_each_share(tmp_path):
+def test_split_corpus_cuts_just_past_the_first_blank_line_at_or_past_each_share(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "PART_BYTES", 1)
     path = write(tmp_path, "c.tsv", corpus_text(["\r\n", "\n"]))
     data = Path(path).read_bytes()
     pairs = blank_lines(data)
@@ -128,23 +224,24 @@ def test_split_corpus_cuts_just_past_the_first_blank_line_at_or_past_each_share(
         targets = [k * len(data) // parts for k in range(1, parts)]
         cuts = sorted({min((end for start, end in pairs if start >= target),
                            default=len(data)) for target in targets} - {len(data)})
-        runs = split_corpus([path], [len(data)], parts)
+        runs = split_corpus([path], parts)
         assert runs == [[(path, start, end)] for start, end in zip([0, *cuts], [*cuts, None])]
 
 
-def test_split_corpus_spans_files_and_keeps_a_file_without_blank_line_whole(tmp_path):
+def test_split_corpus_spans_files_and_keeps_a_file_without_blank_line_whole(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "PART_BYTES", 1)
     first = write(tmp_path, "a.tsv", corpus_text(["\n"]))
     lone_cr = write(tmp_path, "b.tsv", corpus_text(["\r"]))
     paths = [first, lone_cr, first]
-    sizes = [os.path.getsize(p) for p in paths]
-    runs = split_corpus(paths, sizes, 1000)
+    runs = split_corpus(paths, 1000)
     assert [segment for run in runs for segment in run if segment[0] == lone_cr] == [
         (lone_cr, 0, None)]
     # the runs read one after another are the files read one after another
     assert [s for run in runs for path, start, end in run
             for s in read_tagged_file(path, start=start, end=end)] == [
         s for path in paths for s in read_tagged_file(path)]
-    assert split_corpus(paths, sizes, 1) == [[(p, 0, None) for p in paths]]
+    assert split_corpus(paths, 1) == [[(p, 0, None) for p in paths]]
 
 
 def test_a_range_numbers_its_lines_in_the_whole_file(tmp_path, caplog):
@@ -264,7 +361,7 @@ def test_non_utf8_line_in_a_later_part_is_the_one_part_error(tmp_path, capsys,
     assert_no_child_left()
 
 
-FORCED = ("import os; from eventnouns import cli; cli.PART_BYTES = 1; "
+FORCED = ("import os; from eventnouns import cli, corpus; corpus.PART_BYTES = 1; "
           "os.sched_getaffinity = lambda pid: set(range(1000)); cli.main_entry()")
 
 
@@ -446,22 +543,24 @@ def test_a_small_corpus_forks_no_process(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("cpus, size, parts", [
     (2, 4_300_000, 2), (8, 3_800_000, 3), (4, (1 << 20) - 1, 1), (1, 10 << 20, 1),
 ])
-def test_part_count_is_one_per_cpu_with_a_mebibyte_each(monkeypatch, cpus, size, parts):
+def test_part_count_is_one_per_cpu_with_a_mebibyte_each(tmp_path, monkeypatch,
+                                                        cpus, size, parts):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert cli._part_count(size) == parts
+    path = write(tmp_path, "c.tsv", b"\n" * size)  # a blank line at every byte
+    assert len(split_corpus([path], workers())) == parts
 
 
 def test_part_count_is_one_without_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(os, "fork")
-    assert cli._part_count(10 << 20) == 1
+    assert workers() == 1
 
 
 def test_part_count_falls_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert cli._part_count(10 << 20) == 3
+    assert workers() == 3
 
 
 def fault():
